@@ -84,7 +84,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParsePlan' -fuzztime 5s ./internal/faults
 	$(GO) test -run '^$$' -fuzz 'FuzzCDF' -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz 'FuzzHistogramQuantile' -fuzztime 5s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz 'FuzzTimeAvg' -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz 'FuzzAssignProb' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzCostCeiling' -fuzztime 5s ./internal/core
 
 # Full benchmark pass; records results in BENCH_baseline.json and
 # the cluster-size trajectory in BENCH_scale.json.

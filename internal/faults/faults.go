@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -114,10 +115,21 @@ func (p Plan) BlacklistThreshold() int {
 }
 
 // Validate reports whether the plan is usable on a cluster of n nodes.
+// Every time, duration, factor and probability must be finite: NaN slips
+// past plain range comparisons and would poison the simulation clock or
+// the link capacities.
 func (p Plan) Validate(nodes int) error {
 	checkNode := func(kind string, node int) error {
 		if node < 0 || node >= nodes {
 			return fmt.Errorf("faults: %s of node %d outside cluster of %d", kind, node, nodes)
+		}
+		return nil
+	}
+	checkTimes := func(kind string, node int, times ...float64) error {
+		for _, t := range times {
+			if !(t >= 0) || math.IsInf(t, 1) {
+				return fmt.Errorf("faults: %s of node %d with negative or non-finite time %v", kind, node, t)
+			}
 		}
 		return nil
 	}
@@ -126,8 +138,8 @@ func (p Plan) Validate(nodes int) error {
 		if err := checkNode("crash", c.Node); err != nil {
 			return err
 		}
-		if c.At < 0 {
-			return fmt.Errorf("faults: crash of node %d at negative time", c.Node)
+		if err := checkTimes("crash", c.Node, c.At); err != nil {
+			return err
 		}
 		if crashed[c.Node] {
 			return fmt.Errorf("faults: duplicate crash of node %d", c.Node)
@@ -138,21 +150,21 @@ func (p Plan) Validate(nodes int) error {
 		if err := checkNode("slowdown", sl.Node); err != nil {
 			return err
 		}
-		if sl.At < 0 || sl.Duration < 0 {
-			return fmt.Errorf("faults: slowdown of node %d with negative time", sl.Node)
+		if err := checkTimes("slowdown", sl.Node, sl.At, sl.Duration); err != nil {
+			return err
 		}
-		if sl.Factor <= 1 {
-			return fmt.Errorf("faults: slowdown factor %v of node %d must exceed 1", sl.Factor, sl.Node)
+		if !(sl.Factor > 1) || math.IsInf(sl.Factor, 1) {
+			return fmt.Errorf("faults: slowdown factor %v of node %d must be finite and exceed 1", sl.Factor, sl.Node)
 		}
 	}
 	for _, l := range p.Links {
 		if err := checkNode("link degrade", l.Node); err != nil {
 			return err
 		}
-		if l.At < 0 || l.Duration < 0 {
-			return fmt.Errorf("faults: link degrade of node %d with negative time", l.Node)
+		if err := checkTimes("link degrade", l.Node, l.At, l.Duration); err != nil {
+			return err
 		}
-		if l.Factor < 0 || l.Factor > 1 {
+		if !(l.Factor >= 0 && l.Factor <= 1) {
 			return fmt.Errorf("faults: link factor %v of node %d outside [0,1]", l.Factor, l.Node)
 		}
 		if l.Factor == 0 && l.Duration == 0 {
@@ -163,11 +175,11 @@ func (p Plan) Validate(nodes int) error {
 		if err := checkNode("replica loss", r.Node); err != nil {
 			return err
 		}
-		if r.At < 0 {
-			return fmt.Errorf("faults: replica loss of node %d at negative time", r.Node)
+		if err := checkTimes("replica loss", r.Node, r.At); err != nil {
+			return err
 		}
 	}
-	if p.TaskFailProb < 0 || p.TaskFailProb > 1 {
+	if !(p.TaskFailProb >= 0 && p.TaskFailProb <= 1) {
 		return fmt.Errorf("faults: task failure probability %v outside [0,1]", p.TaskFailProb)
 	}
 	if p.MaxTaskAttempts < 0 {

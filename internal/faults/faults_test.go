@@ -71,6 +71,31 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite is the regression test for NaN and
+// infinities slipping past Validate's range checks (NaN compares false
+// against every bound): each of these specs parses, and each must then
+// fail validation.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, spec := range []string{
+		"link:4@10+40*NaN",
+		"slow:1@10*NaN",
+		"crash:3@NaN",
+		"taskfail:NaN",
+		"link:4@Inf+1*0.5",
+		"slow:1@10+Inf*2",
+		"slow:1@10*Inf",
+		"replica:2@Inf",
+	} {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("spec %q no longer parses (%v); the regression needs it to reach Validate", spec, err)
+		}
+		if err := p.Validate(8); err == nil {
+			t.Errorf("spec %q validated: %+v", spec, p)
+		}
+	}
+}
+
 func TestParseSpec(t *testing.T) {
 	p, err := ParseSpec("crash:3@60; slow:7@30+120*2.5; link:4@10+40*0.1; replica:2@5; taskfail:0.02; attempts:5; blacklist:2")
 	if err != nil {

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mapsched/internal/obs"
 	"mapsched/internal/sim"
@@ -41,27 +40,29 @@ type Flow struct {
 	finished   bool
 
 	// Pool/emission state.
-	inLive       bool   // referenced by liveList (tombstoned until compacted)
-	released     bool   // owner dropped its reference; recycle when safe
-	pendingStart bool   // flow_start emission deferred to the next flush
-	resched      bool   // queued for completion-event maintenance at flush
-	doneSeq      uint64 // FIFO seq reserved at churn time for the deferred Reschedule
+	inLive       bool // referenced by liveList (tombstoned until compacted)
+	released     bool // owner dropped its reference; recycle when safe
+	pendingStart bool // flow_start emission deferred to the next flush
 
 	slots  []int   // position of this flow in each path link's flow list
-	next   float64 // scratch rate assigned by the current filling pass
+	next   float64 // share from the latest solve; Flush applies it to rate
 	frozen bool    // scratch flag for progressive filling
-	visit  uint64  // scratch stamp for component discovery
 
 	// Node endpoints for observability; -1 when the caller did not tag
-	// the flow. announced suppresses flow_rate events until the
-	// flow_start event (carrying the initial share) has been emitted.
-	src, dst  NodeID
-	announced bool
+	// the flow.
+	src, dst NodeID
 }
 
-// Rate returns the flow's current bandwidth share in bytes/second. Shares
-// are recomputed eagerly at every churn, so the field is always current.
-func (f *Flow) Rate() float64 { return f.rate }
+// Rate returns the flow's bandwidth share in bytes/second. A network
+// flow read after churn in the current event is solved on demand, so the
+// result is the share it runs at once the event commits.
+func (f *Flow) Rate() float64 {
+	if f.kind == flowNet && !f.finished {
+		f.net.solve()
+		return f.next
+	}
+	return f.rate
+}
 
 // Remaining returns the bytes left to transfer as of the last rate change.
 func (f *Flow) Remaining() float64 { return f.remaining }
@@ -70,7 +71,7 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 func (f *Flow) Finished() bool { return f.finished }
 
 // link carries its active flows as a slice (swap-remove via Flow.slots):
-// enumeration is the recompute hot loop, and slice iteration is several
+// enumeration is the solver's hot loop, and slice iteration is several
 // times cheaper than ranging a map. Order within the slice is arbitrary
 // but immaterial — every consumer either sorts or commutes exactly.
 type link struct {
@@ -81,16 +82,15 @@ type link struct {
 // FlowNet is a flow-level network simulator: each active flow receives a
 // max-min fair share of the capacity of every directed link on its path.
 //
-// Shares are recomputed eagerly at every churn (flow start, finish,
-// cancel, capacity change) — the settle arithmetic that charges progress
-// at the old rate is float-associative-sensitive, so running the solver
-// per churn keeps decision streams bit-identical with pre-optimization
-// builds. What IS coalesced, per simulated instant, is everything the
-// solver's results feed: completion-event queue maintenance (a flow whose
-// share changes k times within one instant gets one Reschedule, not k
-// cancel/reschedule round-trips — this was ~93% of all queue traffic) and
-// flow_start/flow_rate observability emissions, both batched into the
-// engine's commit hook at the end of the dispatching event.
+// Churn (flow start, finish, cancel, capacity or alpha change) only
+// updates link occupancy, bumps the epoch and marks the shares stale.
+// One full progressive-filling pass then runs per dispatched event that
+// churned, in Flush — the engine's commit hook — which also settles every
+// flow whose share changed, gives it one completion-event queue operation
+// and emits the event's flow_rate/flow_start batch. Rate and CheckFeasible
+// run the same solve on demand mid-event; it has no side effect on the
+// simulation, which reads only occupancy (ProspectiveRate) until the
+// event commits.
 type FlowNet struct {
 	eng   *sim.Engine
 	links []link
@@ -108,16 +108,13 @@ type FlowNet struct {
 	// costs with exact invalidation.
 	epoch uint64
 
-	forceFull bool  // disable the incremental path (testing / comparison)
-	eager     bool  // per-churn queue ops and emissions, pre-coalescing style (testing)
-	fullRecs  int64 // full progressive-filling passes
-	incRecs   int64 // component-local passes (avoided full recomputes)
+	dirty     bool  // churn since the last solve: shares are stale
+	unapplied bool  // solved shares not yet applied by Flush
+	solves    int64 // progressive-filling passes
 
-	// Coalescing state: flows whose completion event must be rescheduled
-	// (or parked) for the current instant, and flows whose flow_start
-	// emission is deferred until their first share is known.
-	pendingResched []*Flow
-	pendingStarts  []*Flow
+	// Flows whose flow_start emission is deferred until their first share
+	// is known.
+	pendingStarts []*Flow
 
 	// freeFlows recycles Flow objects. A flow is recycled only once it is
 	// finished, its owner has Released it, no liveList tombstone remains,
@@ -127,12 +124,9 @@ type FlowNet struct {
 	freeFlows []*Flow
 
 	// Reusable scratch state, sized to len(links).
-	remCap    []float64
-	cnt       []int
-	linkVisit []uint64
-	visitID   uint64
-	flowsBuf  []*Flow
-	linksBuf  []int
+	remCap   []float64
+	cnt      []int
+	linksBuf []int
 
 	// stats
 	started   int64
@@ -144,9 +138,9 @@ type FlowNet struct {
 	obs *obs.Stream
 }
 
-// NewFlowNet returns an empty network bound to eng. Deferred completion
-// rescheduling and emission batches ride eng's commit hook, firing at the
-// end of each dispatched event.
+// NewFlowNet returns an empty network bound to eng. The per-event solve,
+// completion rescheduling and emission batch ride eng's commit hook,
+// firing at the end of each dispatched event.
 func NewFlowNet(eng *sim.Engine) *FlowNet {
 	n := &FlowNet{eng: eng}
 	eng.AddCommitHook(n.Flush)
@@ -155,9 +149,10 @@ func NewFlowNet(eng *sim.Engine) *FlowNet {
 
 // SetCongestionAlpha sets the goodput-degradation coefficient: a link
 // with n concurrent flows delivers capacity/(1 + alpha·(n−1)). Changing
-// it re-shares every live flow and bumps the epoch — alpha scales every
-// effective capacity, so costs cached against the previous epoch would
-// otherwise survive stale. Setting the current value is a no-op.
+// it marks every live flow for re-sharing and bumps the epoch — alpha
+// scales every effective capacity, so costs cached against the previous
+// epoch would otherwise survive stale. Setting the current value is a
+// no-op.
 func (n *FlowNet) SetCongestionAlpha(alpha float64) {
 	if alpha < 0 {
 		alpha = 0
@@ -166,7 +161,7 @@ func (n *FlowNet) SetCongestionAlpha(alpha float64) {
 		return
 	}
 	n.alpha = alpha
-	n.mark(nil)
+	n.mark()
 }
 
 // SetStream attaches the observability stream flow events are emitted
@@ -199,32 +194,19 @@ func (n *FlowNet) flowEvent(t obs.Type, f *Flow, withLinks bool, reason string) 
 	}
 }
 
-// SetForceFullRecompute disables the incremental component-local recompute,
-// running full progressive filling on every churn. Used by equivalence
-// tests and benchmarks comparing the two paths.
-func (n *FlowNet) SetForceFullRecompute(force bool) { n.forceFull = force }
-
-// SetEagerRecompute disables per-instant coalescing of completion-event
-// maintenance and emissions: every fill performs its queue operations and
-// flow_rate/flow_start emissions inline, exactly the pre-coalescing
-// behavior. Used by equivalence tests proving the coalesced path leaves
-// decision streams bit-identical.
-func (n *FlowNet) SetEagerRecompute(eager bool) {
-	n.Flush()
-	n.eager = eager
-}
-
-// Epoch returns the rate-recomputation counter. Between equal epochs no
-// link occupancy or flow rate has changed, so path-rate observations are
-// guaranteed stable.
+// Epoch returns the churn counter. Between equal epochs no link occupancy
+// or flow share has changed, so path-rate observations are guaranteed
+// stable.
 func (n *FlowNet) Epoch() uint64 { return n.epoch }
 
-// FullRecomputes returns the number of full progressive-filling passes.
-func (n *FlowNet) FullRecomputes() int64 { return n.fullRecs }
+// FullRecomputes returns the number of progressive-filling solves: at most
+// one per dispatched event that churned, plus on-demand solves from Rate
+// and CheckFeasible.
+func (n *FlowNet) FullRecomputes() int64 { return n.solves }
 
-// IncrementalRecomputes returns the number of component-local passes,
-// i.e. full recomputes avoided by the incremental path.
-func (n *FlowNet) IncrementalRecomputes() int64 { return n.incRecs }
+// IncrementalRecomputes always returns 0. Every solve is a full pass; the
+// getter remains for callers that report the full/incremental split.
+func (n *FlowNet) IncrementalRecomputes() int64 { return 0 }
 
 // effCapacity returns a link's aggregate goodput when carrying n flows.
 func (n *FlowNet) effCapacity(l int, flows int) float64 {
@@ -235,25 +217,30 @@ func (n *FlowNet) effCapacity(l int, flows int) float64 {
 	return c / (1 + n.alpha*float64(flows-1))
 }
 
-// AddLink creates a directed link with the given capacity (bytes/second).
+// AddLink creates a directed link with the given capacity (bytes/second),
+// which must be positive and finite.
 func (n *FlowNet) AddLink(capacity float64) LinkID {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("topology: link capacity %v must be positive", capacity))
+	if !(capacity > 0) || math.IsInf(capacity, 1) {
+		panic(fmt.Sprintf("topology: link capacity %v must be positive and finite", capacity))
 	}
 	n.links = append(n.links, link{capacity: capacity})
 	n.remCap = append(n.remCap, 0)
 	n.cnt = append(n.cnt, 0)
-	n.linkVisit = append(n.linkVisit, 0)
 	return LinkID(len(n.links) - 1)
 }
 
-// SetLinkCapacity replaces a link's capacity (bytes/second) and re-shares
-// every flow, bumping the epoch so cost caches invalidate. Unlike AddLink,
-// zero is allowed: flows crossing a zero-capacity link stall at rate zero
-// (their completion events are parked) until capacity is restored, which
-// models a severed link without detaching its flows. Negative values clamp
-// to zero; setting the current capacity again is a no-op.
+// SetLinkCapacity replaces a link's capacity (bytes/second), marks every
+// flow for re-sharing and bumps the epoch so cost caches invalidate.
+// Unlike AddLink, zero is allowed: flows crossing a zero-capacity link
+// stall at rate zero (their completion events are parked) until capacity
+// is restored, which models a severed link without detaching its flows.
+// Negative values clamp to zero; NaN and infinities panic (a non-finite
+// share never wins a bottleneck round, so its flows would silently stall);
+// setting the current capacity again is a no-op.
 func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
+	if math.IsNaN(capacity) || math.IsInf(capacity, 0) {
+		panic(fmt.Sprintf("topology: link capacity %v must be finite", capacity))
+	}
 	if capacity < 0 {
 		capacity = 0
 	}
@@ -261,7 +248,7 @@ func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
 		return
 	}
 	n.links[l].capacity = capacity
-	n.mark(nil)
+	n.mark()
 }
 
 // LinkCapacity returns a link's current capacity (bytes/second).
@@ -322,7 +309,7 @@ func (n *FlowNet) Release(f *Flow) {
 // reset clears every field — a recycled flow must carry nothing of its
 // previous life.
 func (n *FlowNet) maybeRecycle(f *Flow) {
-	if !f.released || !f.finished || f.inLive || f.pendingStart || f.resched || f.doneEv.Queued() {
+	if !f.released || !f.finished || f.inLive || f.pendingStart || f.doneEv.Queued() {
 		return
 	}
 	links, slots, finishFn, net := f.links[:0], f.slots[:0], f.finishFn, f.net
@@ -355,22 +342,11 @@ func (n *FlowNet) StartFlowBetween(src, dst NodeID, path []LinkID, bytes float64
 		if n.obs.Enabled() {
 			n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
 		}
-		f.announced = true
 		n.eng.Reschedule(&f.doneEv, n.eng.Now(), f.finishFn)
 		return f
 	}
 	f.kind = flowNet
 	n.attach(f)
-	n.mark(f)
-	if n.eager {
-		if n.obs.Enabled() {
-			n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
-		}
-		f.announced = true
-	} else {
-		f.pendingStart = true
-		n.pendingStarts = append(n.pendingStarts, f)
-	}
 	return f
 }
 
@@ -388,16 +364,6 @@ func (n *FlowNet) StartPersistentFlowBetween(src, dst NodeID, path []LinkID) *Fl
 	f.remaining = math.Inf(1)
 	f.persistent = true
 	n.attach(f)
-	n.mark(f)
-	if n.eager {
-		if n.obs.Enabled() {
-			n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
-		}
-		f.announced = true
-	} else {
-		f.pendingStart = true
-		n.pendingStarts = append(n.pendingStarts, f)
-	}
 	return f
 }
 
@@ -423,7 +389,6 @@ func (n *FlowNet) LocalTransferAt(node NodeID, bytes, diskBps float64, done func
 	if n.obs.Enabled() {
 		n.obs.Emit(n.flowEvent(obs.FlowStart, f, false, "local"))
 	}
-	f.announced = true
 	n.eng.Reschedule(&f.doneEv, n.eng.Now()+sim.Time(bytes/diskBps), f.finishFn)
 	return f
 }
@@ -449,9 +414,9 @@ func (n *FlowNet) Cancel(f *Flow) {
 	n.settle(f)
 	f.finished = true
 	n.detach(f)
-	n.mark(f)
+	n.mark()
 	if n.obs.Enabled() {
-		// A flow cancelled in its start instant has its start emission
+		// A flow cancelled in its start event has its start emission
 		// still deferred; emit it first so the stream stays well-formed.
 		if f.pendingStart {
 			n.emitPendingStart(f)
@@ -461,11 +426,11 @@ func (n *FlowNet) Cancel(f *Flow) {
 }
 
 // emitPendingStart emits f's deferred flow_start immediately and removes
-// it from the pending list. Only used on the rare cancel-in-start-instant
-// path; normal starts are emitted in batch by Flush.
+// it from the pending list. Only used on the rare cancel-in-start-event
+// path, where the flow never ran and its rate is still zero; normal starts
+// are emitted in batch by Flush.
 func (n *FlowNet) emitPendingStart(f *Flow) {
 	n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
-	f.announced = true
 	f.pendingStart = false
 	for i, p := range n.pendingStarts {
 		if p == f {
@@ -475,7 +440,9 @@ func (n *FlowNet) emitPendingStart(f *Flow) {
 	}
 }
 
-// attach registers f on every link of its path and in the live list.
+// attach registers f on every link of its path and in the live list,
+// marks the churn, and defers f's flow_start emission to the next Flush,
+// when its first share is known.
 func (n *FlowNet) attach(f *Flow) {
 	if cap(f.slots) < len(f.links) {
 		f.slots = make([]int, len(f.links))
@@ -489,6 +456,9 @@ func (n *FlowNet) attach(f *Flow) {
 	n.liveList = append(n.liveList, f)
 	f.inLive = true
 	n.liveCount++
+	n.mark()
+	f.pendingStart = true
+	n.pendingStarts = append(n.pendingStarts, f)
 }
 
 // detach removes f from its links (swap-remove, fixing the moved flow's
@@ -552,35 +522,34 @@ func (n *FlowNet) settle(f *Flow) {
 	f.lastUpdate = now
 }
 
-// mark records churn around seed (nil = a global change such as capacity
-// or alpha), bumps the epoch, and reruns the share solver immediately.
-// Only the solver's downstream effects — completion-event queue traffic
-// and emissions — are deferred to the end of the instant; the rates and
-// settlement arithmetic happen per churn, exactly as pre-coalescing
-// builds, which is what keeps decision streams bit-identical.
-func (n *FlowNet) mark(seed *Flow) {
+// mark records churn: it bumps the epoch and flags the shares stale. The
+// solve waits for Flush (or an on-demand read), so however many flows
+// start, finish or are cancelled within one event, progressive filling
+// runs once.
+func (n *FlowNet) mark() {
 	n.epoch++
-	n.recompute(seed)
+	n.dirty = true
 }
 
-// Flush materializes the deferred per-instant work: one completion-event
-// reschedule (or park) per touched flow, then the batch of deferred
+// Flush commits the event's churn: one solve if anything churned, then
+// the application of changed shares (settlement, completion-event
+// maintenance, flow_rate emissions), then the batch of deferred
 // flow_start emissions. It is the engine's commit hook, running at the
 // end of every dispatched event.
 func (n *FlowNet) Flush() {
-	if len(n.pendingResched) > 0 {
-		n.flushResched()
+	n.solve()
+	if n.unapplied {
+		n.apply()
 	}
 
-	// Announce the flows born this instant, in creation order, now that
-	// their first share is known.
+	// Announce the flows born this event, in creation order, now that
+	// their first share is applied.
 	if len(n.pendingStarts) > 0 {
 		emit := n.obs.Enabled()
 		for i, f := range n.pendingStarts {
 			if emit {
 				n.obs.Emit(n.flowEvent(obs.FlowStart, f, true, ""))
 			}
-			f.announced = true
 			f.pendingStart = false
 			n.pendingStarts[i] = nil
 			n.maybeRecycle(f)
@@ -589,33 +558,42 @@ func (n *FlowNet) Flush() {
 	}
 }
 
-// flushResched performs the coalesced completion-event maintenance: every
-// flow whose share changed this instant gets exactly one queue operation,
-// against its final rate but with the FIFO seq reserved at its last churn
-// (see fill) — so same-instant tie-breaks are bit-identical to the eager
-// per-churn Reschedule stream. The creation-id sort only fixes the order
-// of the flow_rate emissions, which carry no seq of their own.
-func (n *FlowNet) flushResched() {
-	pend := n.pendingResched
-	// Insertion sort by id: fills append in id order, so the list is
-	// nearly sorted already and this is cheaper than sort.Slice.
-	for i := 1; i < len(pend); i++ {
-		for j := i; j > 0 && pend[j].id < pend[j-1].id; j-- {
-			pend[j], pend[j-1] = pend[j-1], pend[j]
-		}
+// solve brings every live flow's share (Flow.next) up to date with one
+// full progressive-filling pass, if anything churned since the last one.
+// It settles and queues nothing — apply does, at Flush — so an on-demand
+// solve mid-event leaves the simulation exactly as it was.
+func (n *FlowNet) solve() {
+	if !n.dirty {
+		return
 	}
+	n.dirty = false
+	n.compactLive()
+	if n.liveCount == 0 {
+		return
+	}
+	n.solves++
+	n.unapplied = true
+	n.fill()
+}
+
+// apply commits the latest solve. Every flow whose share changed is
+// settled at its old rate and gets one completion-event queue operation
+// against the new one (a reschedule, or a park at rate zero); flows whose
+// share is unchanged are left alone, since their pending event already
+// fires at the correct absolute time. The live list is in creation order,
+// which fixes both the FIFO seqs of simultaneous completions and the
+// order of flow_rate emissions.
+func (n *FlowNet) apply() {
+	n.unapplied = false
 	emit := n.obs.Enabled()
 	now := n.eng.Now()
-	for i, f := range pend {
-		pend[i] = nil
-		f.resched = false
-		if f.finished {
-			// Finished or cancelled later in the same instant; its event is
-			// already off the queue.
-			n.maybeRecycle(f)
+	for _, f := range n.liveList {
+		if f.next == f.rate {
 			continue
 		}
-		if emit && f.announced && !f.pendingStart {
+		n.settle(f)
+		f.rate = f.next
+		if emit && !f.pendingStart {
 			n.obs.Emit(n.flowEvent(obs.FlowRate, f, false, ""))
 		}
 		if f.persistent {
@@ -626,105 +604,25 @@ func (n *FlowNet) flushResched() {
 			n.eng.Remove(&f.doneEv)
 			continue
 		}
-		n.eng.RescheduleSeq(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.doneSeq, f.finishFn)
+		n.eng.Reschedule(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.finishFn)
 	}
-	n.pendingResched = pend[:0]
 }
 
-// recompute refreshes max-min fair shares after seed started or departed.
-// A nil seed, a forced-full configuration, or a component covering most of
-// the live flows falls back to a full pass over every loaded link.
-func (n *FlowNet) recompute(seed *Flow) {
-	if n.liveCount == 0 {
-		n.compactLive()
-		return
-	}
-	if n.forceFull || seed == nil {
-		n.fullRecompute()
-		return
-	}
-
-	// Discover the connected component of links and flows reachable from
-	// the seed's path. The seed itself is included only if still attached.
-	// When the component spans most of the network, component discovery
-	// plus local filling saves nothing over a full pass, so discovery
-	// aborts as soon as the component crosses half the live flows instead
-	// of enumerating the rest.
-	n.visitID++
-	stamp := n.visitID
-	compLinks := n.linksBuf[:0]
-	compFlows := n.flowsBuf[:0]
-	for _, l := range seed.links {
-		if n.linkVisit[l] != stamp {
-			n.linkVisit[l] = stamp
-			compLinks = append(compLinks, int(l))
-		}
-	}
-	for head := 0; head < len(compLinks) && 2*len(compFlows) < n.liveCount; head++ {
-		for _, f := range n.links[compLinks[head]].flows {
-			if f.visit == stamp {
-				continue
-			}
-			f.visit = stamp
-			compFlows = append(compFlows, f)
-			for _, l := range f.links {
-				if n.linkVisit[l] != stamp {
-					n.linkVisit[l] = stamp
-					compLinks = append(compLinks, int(l))
-				}
-			}
-		}
-	}
-	n.linksBuf, n.flowsBuf = compLinks, compFlows
-
-	if len(compFlows) == 0 {
-		return // departed flow was alone on its path
-	}
-	if 2*len(compFlows) >= n.liveCount {
-		n.fullRecompute()
-		return
-	}
-	n.incRecs++
-	if len(n.liveList) > 2*n.liveCount+16 {
-		n.compactLive() // bound tombstone growth on incremental-only churn
-	}
-
-	// Deterministic orders: flows by creation id (event tie-breaks), links
-	// ascending (bottleneck tie-breaks match the full pass).
-	sort.Slice(compFlows, func(a, b int) bool { return compFlows[a].id < compFlows[b].id })
-	sort.Ints(compLinks)
-	n.fill(compLinks, compFlows)
-}
-
-// fullRecompute runs progressive filling over all live flows. The live
-// list is already in creation-id order, so no sort is needed — just a
-// compaction pass dropping finished flows.
-func (n *FlowNet) fullRecompute() {
-	n.fullRecs++
-	n.compactLive()
+// fill runs progressive filling (max-min fairness) over every live flow
+// and every loaded link, writing each flow's share to Flow.next. Links
+// are scanned in ascending order, so bottleneck ties break
+// deterministically. The fill loop allocates nothing.
+func (n *FlowNet) fill() {
 	links := n.linksBuf[:0]
-	for i := range n.links {
-		if len(n.links[i].flows) > 0 {
-			links = append(links, i)
+	for l := range n.links {
+		if c := len(n.links[l].flows); c > 0 {
+			links = append(links, l)
+			n.cnt[l] = c
+			n.remCap[l] = n.effCapacity(l, c)
 		}
 	}
 	n.linksBuf = links
-	n.fill(links, n.liveList)
-}
-
-// fill runs progressive filling (max-min fairness) over the given flows,
-// whose link usage is exactly covered by links (ascending order), then
-// settles every flow whose share changed and records it for the coalesced
-// completion-event maintenance at instant end (or, in eager mode,
-// reschedules it inline). Flows whose share is unchanged are left entirely
-// alone: their pending event already fires at the correct absolute time.
-// Flows are handled in creation order so simultaneous completions fire in
-// a deterministic sequence. The fill loop allocates nothing.
-func (n *FlowNet) fill(links []int, flows []*Flow) {
-	for _, l := range links {
-		n.cnt[l] = len(n.links[l].flows)
-		n.remCap[l] = n.effCapacity(l, n.cnt[l])
-	}
+	flows := n.liveList
 	for _, f := range flows {
 		f.frozen = false
 	}
@@ -780,52 +678,6 @@ func (n *FlowNet) fill(links []int, flows []*Flow) {
 			}
 		}
 	}
-
-	// Apply changed shares: settle progress under the old rate, then hand
-	// the flow to the coalesced per-instant maintenance (one queue
-	// operation per flow per instant, against its final rate). The settle
-	// runs here, per fill, because charging progress is float-sensitive to
-	// grouping: regrouping the decrements would drift completion times by
-	// an ulp and break bit-identity with pre-coalescing builds.
-	emit := n.obs.Enabled()
-	now := n.eng.Now()
-	for _, f := range flows {
-		if f.next == f.rate {
-			continue
-		}
-		n.settle(f)
-		f.rate = f.next
-		if !n.eager {
-			if !f.resched {
-				f.resched = true
-				n.pendingResched = append(n.pendingResched, f)
-			}
-			// Reserve the completion event's FIFO slot now — at the exact
-			// point the eager path calls Reschedule — even though the
-			// queue operation is deferred to flushResched. Same-instant
-			// ties (two flows completing together, or a completion tying
-			// with an event scheduled later in this dispatch) and the seq
-			// numbering of everything scheduled after this churn then
-			// match the eager stream bit-for-bit. A later churn in the
-			// same instant overwrites the reservation, exactly as eager's
-			// re-Reschedule would assign a fresh seq.
-			if !f.persistent && f.rate > 0 {
-				f.doneSeq = n.eng.ReserveSeq()
-			}
-			continue
-		}
-		if emit && f.announced {
-			n.obs.Emit(n.flowEvent(obs.FlowRate, f, false, ""))
-		}
-		if f.persistent {
-			continue
-		}
-		if f.rate <= 0 {
-			n.eng.Remove(&f.doneEv)
-			continue
-		}
-		n.eng.Reschedule(&f.doneEv, now+sim.Time(f.remaining/f.rate), f.finishFn)
-	}
 }
 
 // fire dispatches a flow's completion event according to its kind.
@@ -868,9 +720,9 @@ func (n *FlowNet) finish(f *Flow) {
 	n.completed++
 	n.bytesDone += f.total
 	n.detach(f)
-	// Mark before the callback: occupancy changes and the refill must be
-	// observable to any path-rate reading the callback makes.
-	n.mark(f)
+	// Mark before the callback: the occupancy change and the epoch bump
+	// must be observable to any path-rate reading the callback makes.
+	n.mark()
 	if n.obs.Enabled() {
 		n.obs.Emit(n.flowEvent(obs.FlowFinish, f, false, ""))
 	}
@@ -900,15 +752,16 @@ func (n *FlowNet) ProspectiveRate(path []LinkID) float64 {
 }
 
 // CheckFeasible verifies that no link is oversubscribed: the sum of flow
-// rates on each link must not exceed its capacity (within tolerance).
-// Rates are recomputed eagerly at churn, so no flush is needed.
-// Used by property tests.
+// shares on each link must not exceed its capacity (within tolerance).
+// Mid-event it checks the shares solved on demand, which is what the
+// links carry once the event commits. Used by property tests.
 func (n *FlowNet) CheckFeasible() error {
 	const tol = 1e-6
+	n.solve()
 	for i := range n.links {
 		var sum float64
 		for _, f := range n.links[i].flows {
-			sum += f.rate
+			sum += f.next
 		}
 		cap := n.effCapacity(i, len(n.links[i].flows))
 		if sum > cap*(1+tol) {

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"testing"
 
 	"mapsched/internal/sim"
@@ -88,139 +87,5 @@ func TestFlowReuseAfterMidTransferCancel(t *testing.T) {
 	}
 	if fired != 1 {
 		t.Fatalf("flow started after cancel fired %d times, want 1", fired)
-	}
-}
-
-// TestEagerCoalescedEquivalence drives the same randomized churn
-// workload (overlapping transfers, mid-flight cancels, same-instant
-// starts) in coalesced mode and in eager (pre-coalescing) mode and
-// requires identical completion traces. Coalescing completion-event
-// maintenance and emissions must be invisible to the decision stream.
-func TestEagerCoalescedEquivalence(t *testing.T) {
-	trace := func(eager bool, seed int64) []string {
-		eng := sim.NewEngine()
-		spec := DefaultSpec()
-		spec.Racks = 2
-		spec.NodesPerRack = 3
-		c, err := NewCluster(eng, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Net().SetEagerRecompute(eager)
-		rng := sim.NewRNG(seed)
-		var out []string
-		var live []*Flow
-		n := c.Size()
-		var op func(id int)
-		op = func(id int) {
-			switch rng.Intn(5) {
-			case 0, 1, 2: // start a transfer, sometimes zero-byte
-				src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-				if src == dst {
-					dst = NodeID((int(dst) + 1) % n)
-				}
-				bytes := 0.0
-				if rng.Intn(8) != 0 {
-					bytes = 1e6 + 60e6*rng.Float64()
-				}
-				f := c.Transfer(src, dst, bytes, func() {
-					out = append(out, fmt.Sprintf("done %d@%.9f", id, float64(eng.Now())))
-				})
-				live = append(live, f)
-			case 3: // drop a random tracked flow: cancel it if still running
-				if len(live) > 0 {
-					i := rng.Intn(len(live))
-					f := live[i]
-					live = append(live[:i], live[i+1:]...)
-					if !f.Finished() {
-						out = append(out, fmt.Sprintf("cancel %d@%.9f", id, float64(eng.Now())))
-						c.Net().Cancel(f)
-					}
-					// Ownership lives in this list alone (the done callback
-					// does not Release), so the pointer is valid until here
-					// and cannot be recycled into a later life we then
-					// cancel by mistake.
-					c.Net().Release(f)
-				}
-			}
-			// Chain more churn at a future instant, occasionally at the
-			// same instant to exercise same-instant coalescing.
-			if id < 120 {
-				d := 0.0
-				if rng.Intn(3) != 0 {
-					d = rng.Float64() * 0.3
-				}
-				eng.After(d, func() { op(id + 1) })
-			}
-		}
-		eng.Schedule(0, func() { op(0) })
-		if _, err := eng.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range live {
-			c.Net().Release(f)
-		}
-		return out
-	}
-	for seed := int64(1); seed <= 5; seed++ {
-		coal := trace(false, seed)
-		eager := trace(true, seed)
-		if len(coal) != len(eager) {
-			t.Fatalf("seed %d: trace lengths differ: coalesced %d, eager %d", seed, len(coal), len(eager))
-		}
-		for i := range coal {
-			if coal[i] != eager[i] {
-				t.Fatalf("seed %d: trace %d differs:\ncoalesced %s\neager     %s", seed, i, coal[i], eager[i])
-			}
-		}
-	}
-}
-
-// TestCoalescedTieOrderMatchesEager pins the FIFO tie-break contract the
-// randomized equivalence test is too coarse to hit: when a flow completion
-// ties at the exact same instant with another completion and with an
-// unrelated event scheduled mid-dispatch, the firing order must match the
-// eager per-churn Reschedule stream. Coalesced maintenance gets this right
-// only because fill reserves each completion's seq at churn time (see
-// flushResched); before that reservation existed, the deferred Reschedule
-// drew a post-dispatch seq and all three orderings here inverted.
-func TestCoalescedTieOrderMatchesEager(t *testing.T) {
-	run := func(eager bool) []string {
-		eng := sim.NewEngine()
-		n := NewFlowNet(eng)
-		n.SetEagerRecompute(eager)
-		l0 := n.AddLink(1) // 1 byte/s: byte counts below are seconds
-		l1 := n.AddLink(1)
-		var order []string
-		eng.Schedule(0, func() {
-			// z halves x's share; cancelling it restores x to full rate,
-			// so x's LAST churn (and in eager mode its final seq) comes
-			// after y's — despite x's smaller creation id.
-			z := n.StartFlow([]LinkID{l0}, 1e9, nil)
-			n.StartFlow([]LinkID{l0}, 8, func() { order = append(order, "x") })
-			n.StartFlow([]LinkID{l1}, 8, func() { order = append(order, "y") })
-			n.Cancel(z)
-			n.Release(z)
-			// Scheduled after every churn above: with per-churn seqs it
-			// fires last among the t=8 ties; a flush-time Reschedule
-			// would wrongly slot both completions after it.
-			eng.After(8, func() { order = append(order, "after") })
-		})
-		if _, err := eng.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		return order
-	}
-	want := []string{"y", "x", "after"}
-	for _, mode := range []bool{true, false} {
-		got := run(mode)
-		if len(got) != len(want) {
-			t.Fatalf("eager=%v: fired %v, want %v", mode, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("eager=%v: tie order %v, want %v", mode, got, want)
-			}
-		}
 	}
 }

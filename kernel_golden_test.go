@@ -10,13 +10,15 @@ import (
 	"testing"
 )
 
-// The kernel-speed pass (calendar queue, pooled events/flows/attempts,
-// coalesced recomputes) is gated on the scheduler's decision stream staying
-// bit-identical. The files under testdata/kernel_golden were recorded before
-// the pass and pin every non-flow event (submissions, offers, assignments,
-// skips, starts, finishes, speculation, faults) byte for byte. Flow events
-// are excluded by design: coalescing legitimately thins same-instant
-// flow_rate updates, but it must never move a decision.
+// Kernel changes (event queue, object pools, the flow-network solve
+// cadence) are gated on the scheduler's decision stream. The files under
+// testdata/kernel_golden pin every non-flow event (submissions, offers,
+// assignments, skips, starts, finishes, speculation, faults) byte for
+// byte. Flow events are excluded by design: how often shares are solved
+// and emitted within one instant may change, but a decision must not
+// move unless the change is meant to move it. A regeneration is a
+// deliberate behaviour change and is recorded with its reason in
+// CHANGES.md.
 //
 // Regenerate with: go test -run TestKernelGoldenDecisionStreams -update-golden
 var updateGolden = flag.Bool("update-golden", false,
@@ -106,7 +108,7 @@ func TestKernelGoldenDecisionStreams(t *testing.T) {
 				t.Fatalf("missing golden (regenerate with -update-golden): %v", err)
 			}
 			if got != string(want) {
-				t.Fatalf("decision stream diverged from pre-pass golden %s:\n%s",
+				t.Fatalf("decision stream diverged from golden %s:\n%s",
 					path, firstDiff(string(want), got))
 			}
 		})

@@ -321,3 +321,145 @@ func TestEpochAdvancesOnChurnOnly(t *testing.T) {
 		t.Fatal("epoch did not advance on cancel")
 	}
 }
+
+// mirrorNets builds two identical multi-rack clusters. Callers leave the
+// first alone between events, so it solves once per commit, and read
+// rates on the second after every churn, forcing an on-demand full solve
+// per start.
+func mirrorNets(t *testing.T) (*sim.Engine, *Cluster, *sim.Engine, *Cluster) {
+	t.Helper()
+	spec := DefaultSpec()
+	spec.Racks = 4
+	spec.NodesPerRack = 15
+	engA := sim.NewEngine()
+	engB := sim.NewEngine()
+	return engA, mustCluster(t, engA, spec), engB, mustCluster(t, engB, spec)
+}
+
+// TestIncrementalRecomputeMatchesFull drives an identical random churn of
+// transfers through a network left to its coalesced per-commit solve and
+// one forced to a full solve after every flow start, and checks that
+// completion instants, counts and delivered bytes agree exactly, and that
+// coalescing actually saved solves.
+func TestIncrementalRecomputeMatchesFull(t *testing.T) {
+	engA, a, engB, b := mirrorNets(t)
+
+	type op struct {
+		src, dst NodeID
+		bytes    float64
+	}
+	rng := sim.NewRNG(7)
+	var ops []op
+	for i := 0; i < 400; i++ {
+		src := NodeID(rng.Intn(a.Size()))
+		dst := NodeID(rng.Intn(a.Size()))
+		if src == dst {
+			dst = NodeID((int(dst) + 1) % a.Size())
+		}
+		// Irregular sizes so no two flows finish at exactly the same time.
+		ops = append(ops, op{src, dst, 1e5 + rng.Float64()*5e6})
+	}
+
+	// Starts arrive in batches of four per event, spread over the run so
+	// the live-flow population churns.
+	const batch = 4
+	run := func(eng *sim.Engine, c *Cluster, perChurn bool) ([]float64, int64, float64) {
+		var finishes []float64
+		for i := 0; i < len(ops); i += batch {
+			chunk := ops[i : i+batch]
+			eng.Schedule(sim.Time(float64(i)*0.01), func() {
+				for _, o := range chunk {
+					f := c.Transfer(o.src, o.dst, o.bytes, func() {
+						finishes = append(finishes, float64(eng.Now()))
+					})
+					if perChurn {
+						_ = f.Rate()
+					}
+				}
+			})
+		}
+		if _, err := eng.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Net().CheckFeasible(); err != nil {
+			t.Fatal(err)
+		}
+		return finishes, c.Net().Completed(), c.Net().BytesDelivered()
+	}
+
+	finA, cmplA, bytesA := run(engA, a, false)
+	finB, cmplB, bytesB := run(engB, b, true)
+
+	if cmplA != cmplB {
+		t.Fatalf("completed flows: coalesced %d, per-churn %d", cmplA, cmplB)
+	}
+	if bytesA != bytesB {
+		t.Fatalf("delivered bytes: coalesced %v, per-churn %v", bytesA, bytesB)
+	}
+	if len(finA) != len(finB) {
+		t.Fatalf("callback counts differ: %d vs %d", len(finA), len(finB))
+	}
+	for i := range finA {
+		// On-demand solves apply nothing, so finish instants are identical.
+		if finA[i] != finB[i] {
+			t.Fatalf("finish %d: coalesced %v, per-churn %v", i, finA[i], finB[i])
+		}
+	}
+	sa, sb := a.Net().FullRecomputes(), b.Net().FullRecomputes()
+	if sb < int64(len(ops)) {
+		t.Fatalf("per-churn network solved %d times over %d starts", sb, len(ops))
+	}
+	if sa > int64(engA.Fired())+1 || sa >= sb {
+		t.Fatalf("coalesced network solved %d times over %d events, per-churn %d", sa, engA.Fired(), sb)
+	}
+	t.Logf("solves: coalesced %d, per-churn %d", sa, sb)
+}
+
+// TestIncrementalRatesMatchFullAfterEachChurn compares the share of every
+// flow between the coalesced and per-churn networks after every start and
+// after every batch of finishes, and checks both against referenceShares
+// — the shares themselves must be bit-identical, not just the outcomes.
+func TestIncrementalRatesMatchFullAfterEachChurn(t *testing.T) {
+	engA, a, engB, b := mirrorNets(t)
+
+	rng := sim.NewRNG(11)
+	var flowsA, flowsB []*Flow
+	check := func(step int) {
+		t.Helper()
+		for i := range flowsA {
+			fa, fb := flowsA[i], flowsB[i]
+			if fa.Finished() != fb.Finished() {
+				t.Fatalf("step %d flow %d: finished %v vs %v", step, i, fa.Finished(), fb.Finished())
+			}
+			if fa.Rate() != fb.Rate() {
+				t.Fatalf("step %d flow %d: rate %v vs %v", step, i, fa.Rate(), fb.Rate())
+			}
+		}
+		checkAgainstReference(t, a.Net(), fmt.Sprintf("coalesced step %d", step))
+	}
+	for i := 0; i < 200; i++ {
+		src := NodeID(rng.Intn(a.Size()))
+		dst := NodeID(rng.Intn(a.Size()))
+		if src == dst {
+			dst = NodeID((int(dst) + 1) % a.Size())
+		}
+		bytes := 1e5 + rng.Float64()*2e6
+		flowsA = append(flowsA, a.Transfer(src, dst, bytes, nil))
+		flowsB = append(flowsB, b.Transfer(src, dst, bytes, nil))
+		checkAgainstReference(t, b.Net(), fmt.Sprintf("per-churn start %d", i))
+		if engA.Pending() > 48 {
+			for j := 0; j < 16; j++ {
+				engA.Step()
+				engB.Step()
+			}
+			check(i)
+		}
+		if pa, pb := a.PathRate(src, dst), b.PathRate(src, dst); pa != pb {
+			t.Fatalf("step %d: PathRate %v vs %v", i, pa, pb)
+		}
+	}
+	for engA.Step() {
+		engB.Step()
+	}
+	check(-1)
+}

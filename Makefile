@@ -1,9 +1,9 @@
 # Development entry points. `make check` is the full gate run before
 # committing: vet, the schedlint static contracts, build, the complete
-# test suite under the race detector, a short benchmark smoke proving
-# the perf-critical benches still run, and a short native-fuzz smoke
-# over the parser/decoder fuzz targets. `make bench` regenerates
-# BENCH_baseline.json and BENCH_scale.json.
+# test suite under the race detector, a short benchmark smoke that
+# holds the budgets in the BENCH.json ledger, and a short native-fuzz
+# smoke over the parser/decoder fuzz targets. `make bench` refreshes
+# the values recorded in BENCH.json.
 
 GO ?= go
 SCHEDLINT ?= bin/schedlint
@@ -51,29 +51,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Quick smoke of the performance-critical benchmarks (fixed small
-# iteration counts; seconds, not minutes). The fault-churn macro bench
-# runs once so recovery-path regressions and stalls surface in CI, the
-# cluster-scale selection bench runs its whole 100→5000-node grid so a
-# scaling regression in the class-collapsed hot path surfaces too, and
-# the placement-service bench exercises the concurrent decide path at
-# 1/4/8 readers before placement_guard.sh holds its p99 budget and
-# journal_guard.sh the journal-on delta budget. The open-system cell
-# runs once inside opensys_guard.sh, which holds the deterministic
-# steady-state p99 JCT to its BENCH_opensys.json budget.
+# Quick smoke of every benchmark in the BENCH.json ledger, each at its
+# smoke benchtime (seconds, not minutes), failing when a benchmark or a
+# gated metric is missing or a gate exceeds budget × (1 + tolerance).
+# The four gates: allocs/op of the batch macro bench, readers-4 p99 of
+# the placement decide path, journal-on delta-pair ns/op, and the
+# open-system cell's deterministic steady-state p99 JCT.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkCore_|BenchmarkTopology_FlowChurn' \
-		-benchmem -benchtime 200x .
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulation_FaultChurn' \
-		-benchmem -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkSelect_ClusterScale' \
-		-benchmem -benchtime 20x .
-	$(GO) test -run '^$$' -bench 'BenchmarkPlacement_Decide' \
-		-benchmem -benchtime 500x .
-	sh scripts/alloc_guard.sh
-	sh scripts/placement_guard.sh
-	sh scripts/journal_guard.sh
-	sh scripts/opensys_guard.sh
+	$(GO) run ./cmd/benchledger -check
 
 # Short native-fuzz smoke over every parser/decoder fuzz target in the
 # tree: seeds plus a few seconds of mutation each, so a crash in the
@@ -87,11 +72,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzTimeAvg' -fuzztime 5s ./internal/metrics
 	$(GO) test -run '^$$' -fuzz 'FuzzAssignProb' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzCostCeiling' -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz 'FuzzParseTenants' -fuzztime 5s ./internal/workload
+	$(GO) test -run '^$$' -fuzz 'FuzzParseArrivalPlan' -fuzztime 5s ./internal/workload
 
-# Full benchmark pass; records results in BENCH_baseline.json and
-# the cluster-size trajectory in BENCH_scale.json.
+# Full benchmark pass; refreshes the values (never the budgets) in
+# BENCH.json.
 bench:
-	sh scripts/bench.sh
+	$(GO) run ./cmd/benchledger -write
 
 check: vet lint build race bench-smoke fuzz-smoke
 

@@ -3,9 +3,8 @@ package mapsched
 // Benchmarks of the standalone placement decision service: per-decision
 // latency (p50/p99) and throughput at concurrent reader load, with a
 // delta-applying writer churning slot state in the background — the
-// service's intended operating regime. scripts/bench.sh records the
-// numbers in BENCH_placement.json and scripts/placement_guard.sh holds
-// the p99 latency budget.
+// service's intended operating regime. cmd/benchledger records the
+// numbers in BENCH.json and holds the readers-4 p99 latency budget.
 
 import (
 	"fmt"
@@ -153,8 +152,9 @@ func BenchmarkPlacement_Decide(b *testing.B) {
 // BenchmarkPlacement_Journal measures the write-ahead journal's cost on
 // the delta hot path: one slot acquire+release pair (two deltas) against
 // the same 5000-node service, with the journal detached (off) and
-// attached (on). The on/off ns/op difference is the journal-on overhead
-// BENCH metric; scripts/journal_guard.sh holds the journal-on budget.
+// attached (on). The on/off ns/op difference is the journal-on overhead,
+// derived from two BENCH.json rows; cmd/benchledger holds the journal-on
+// budget.
 func BenchmarkPlacement_Journal(b *testing.B) {
 	const nodes = 5000
 	for _, mode := range []string{"off", "on"} {

@@ -226,7 +226,7 @@ func BenchmarkSimulation_Probabilistic(b *testing.B) {
 // observer attached consuming every event. The gap to
 // BenchmarkSimulation_Probabilistic is the cost of the observability
 // layer when it is actually on; with no observer the layer must be free
-// (the <2% budget scripts/bench.sh tracks).
+// (the <2% budget the BENCH.json ledger tracks).
 func BenchmarkSimulation_ProbabilisticObserved(b *testing.B) {
 	s := benchSetup()
 	specs, err := workload.Specs(workload.Batch(workload.Wordcount), s.Workload)
@@ -318,8 +318,8 @@ func BenchmarkSimulation_FaultChurn(b *testing.B) {
 // three-tenant continuous-arrival workload at load factor 0.9 under the
 // probabilistic scheduler, with weighted admission and preemption on.
 // Beyond wall-clock cost it reports the steady-state p99 job completion
-// time — a deterministic function of the seed, so opensys_guard.sh can
-// hold it to a budget and catch scheduling-policy regressions that a
+// time — a deterministic function of the seed, so the BENCH.json ledger
+// can hold it to a budget and catch scheduling-policy regressions that a
 // pure latency bench would miss.
 func BenchmarkSimulation_OpenSystem(b *testing.B) {
 	s := benchSetup()
@@ -737,7 +737,7 @@ func scaleSelectFixture(b *testing.B, nodes int) (*topology.Cluster, *hdfs.Store
 //	naive   - the seed path: direct Formula 1 over every (task, node)
 //
 // Per-offer time for classed grows with the number of distance classes
-// (racks), not nodes; BENCH_scale.json records the trajectory.
+// (racks), not nodes; BENCH.json records the trajectory.
 func BenchmarkSelect_ClusterScale(b *testing.B) {
 	for _, nodes := range []int{100, 500, 1000, 2000, 5000} {
 		cl, store, j, avails := scaleSelectFixture(b, nodes)

@@ -105,11 +105,12 @@ func drop(s []*Event, ev *Event) []*Event {
 
 // TestEngineCrossImplEquivalence runs the same randomized engine workload
 // (nested scheduling, cancels, removes, reschedules of caller-owned
-// events) on both queue kinds and requires identical dispatch traces.
+// events) on the calendar and the reference heap queue and requires
+// identical dispatch traces.
 func TestEngineCrossImplEquivalence(t *testing.T) {
-	trace := func(kind QueueKind, seed int64) []string {
+	trace := func(newEngine func() *Engine, seed int64) []string {
 		var out []string
-		e := NewEngineWithQueue(kind)
+		e := newEngine()
 		rng := NewRNG(seed)
 		var owned [8]Event
 		var pending []*Event
@@ -149,8 +150,8 @@ func TestEngineCrossImplEquivalence(t *testing.T) {
 		return out
 	}
 	for seed := int64(1); seed <= 10; seed++ {
-		cal := trace(QueueCalendar, seed)
-		ref := trace(QueueHeap, seed)
+		cal := trace(NewEngine, seed)
+		ref := trace(newHeapEngine, seed)
 		if len(cal) != len(ref) {
 			t.Fatalf("seed %d: dispatch counts differ: %d vs %d", seed, len(cal), len(ref))
 		}

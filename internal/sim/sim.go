@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -63,7 +62,8 @@ func (e *Event) Cancelled() bool { return e.cancel }
 func (e *Event) Cancel() { e.cancel = true }
 
 // eventQueue is the pending-event set. Pop order is the total order
-// (at, seq) ascending, so every implementation is pop-for-pop identical;
+// (at, seq) ascending, so every implementation is pop-for-pop identical
+// (the calendar queue is tested against a container/heap reference);
 // cancelled events stay queued (and counted) until popped or removed.
 type eventQueue interface {
 	push(ev *Event)
@@ -79,65 +79,6 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// heapQueue is the classic container/heap implementation, kept behind
-// QueueHeap as the reference the calendar queue is equivalence-tested
-// against.
-type heapQueue []*Event
-
-func (h heapQueue) Len() int           { return len(h) }
-func (h heapQueue) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-func (h heapQueue) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *heapQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *heapQueue) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
-func (h *heapQueue) push(ev *Event) { heap.Push(h, ev) }
-
-func (h *heapQueue) popMin() *Event {
-	if len(*h) == 0 {
-		return nil
-	}
-	return heap.Pop(h).(*Event)
-}
-
-func (h *heapQueue) remove(ev *Event) bool {
-	if ev.index < 0 || ev.index >= len(*h) || (*h)[ev.index] != ev {
-		return false
-	}
-	heap.Remove(h, ev.index)
-	return true
-}
-
-func (h *heapQueue) len() int { return len(*h) }
-
-// QueueKind selects the pending-event set implementation.
-type QueueKind int
-
-const (
-	// QueueCalendar is the default: a self-resizing calendar queue with
-	// amortized O(1) push/pop on the simulator's clustered timestamps.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the container/heap reference implementation.
-	QueueHeap
-)
-
 // Engine is a discrete-event simulator. Create one with NewEngine.
 type Engine struct {
 	now     Time
@@ -152,21 +93,7 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at 0, using the calendar
 // event queue.
-func NewEngine() *Engine { return NewEngineWithQueue(QueueCalendar) }
-
-// NewEngineWithQueue returns an engine using the given queue implementation.
-// Decision streams are bit-identical across kinds; QueueHeap exists as the
-// cross-implementation reference and escape hatch.
-func NewEngineWithQueue(k QueueKind) *Engine {
-	e := &Engine{}
-	switch k {
-	case QueueHeap:
-		e.queue = &heapQueue{}
-	default:
-		e.queue = newCalendarQueue()
-	}
-	return e
-}
+func NewEngine() *Engine { return &Engine{queue: newCalendarQueue()} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }

@@ -216,9 +216,12 @@ func TestFiredCounter(t *testing.T) {
 func TestHeapPropertyRandomOrder(t *testing.T) {
 	// Property: for any set of timestamps, execution order is sorted —
 	// under both queue implementations.
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
+	for _, q := range []struct {
+		kind      string
+		newEngine func() *Engine
+	}{{"calendar", NewEngine}, {"heap", newHeapEngine}} {
 		f := func(stamps []uint16) bool {
-			e := NewEngineWithQueue(kind)
+			e := q.newEngine()
 			var got []Time
 			for _, s := range stamps {
 				at := Time(s)
@@ -235,7 +238,7 @@ func TestHeapPropertyRandomOrder(t *testing.T) {
 			return len(got) == len(stamps)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-			t.Fatalf("queue kind %v: %v", kind, err)
+			t.Fatalf("%s queue: %v", q.kind, err)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,11 +63,11 @@ func (t Tenant) Validate() error {
 	if strings.ContainsAny(t.Name, ";:,= \t") {
 		return fmt.Errorf("workload: tenant name %q contains reserved characters", t.Name)
 	}
-	if t.Weight < 0 {
-		return fmt.Errorf("workload: tenant %s: negative weight %v", t.Name, t.Weight)
+	if !finiteNonNeg(t.Weight) {
+		return fmt.Errorf("workload: tenant %s: negative or non-finite weight %v", t.Name, t.Weight)
 	}
-	if t.Rate < 0 {
-		return fmt.Errorf("workload: tenant %s: negative rate %v", t.Name, t.Rate)
+	if !finiteNonNeg(t.Rate) {
+		return fmt.Errorf("workload: tenant %s: negative or non-finite rate %v", t.Name, t.Rate)
 	}
 	if t.MinGB < 0 || t.MaxGB < 0 || (t.MaxGB > 0 && t.MaxGB < t.MinGB) {
 		return fmt.Errorf("workload: tenant %s: bad input-size range [%d,%d] GB", t.Name, t.MinGB, t.MaxGB)
@@ -169,11 +170,11 @@ type ArrivalPlan struct {
 
 // Validate reports whether the plan is usable.
 func (p ArrivalPlan) Validate() error {
-	if p.Horizon < 0 {
-		return fmt.Errorf("workload: negative arrival horizon %v", p.Horizon)
+	if !finiteNonNeg(p.Horizon) {
+		return fmt.Errorf("workload: negative or non-finite arrival horizon %v", p.Horizon)
 	}
-	if p.Warmup < 0 {
-		return fmt.Errorf("workload: negative warmup %v", p.Warmup)
+	if !finiteNonNeg(p.Warmup) {
+		return fmt.Errorf("workload: negative or non-finite warmup %v", p.Warmup)
 	}
 	if p.MaxActive < 0 {
 		return fmt.Errorf("workload: negative MaxActive %d", p.MaxActive)
@@ -182,11 +183,24 @@ func (p ArrivalPlan) Validate() error {
 		return fmt.Errorf("workload: preemption requires MaxActive > 0")
 	}
 	for i, tr := range p.Trace {
-		if tr.At < 0 {
-			return fmt.Errorf("workload: trace arrival %d at negative time %v", i, tr.At)
+		if !finiteNonNeg(tr.At) {
+			return fmt.Errorf("workload: trace arrival %d at negative or non-finite time %v", i, tr.At)
 		}
 	}
 	return nil
+}
+
+// finiteNonNeg reports whether v is a finite number >= 0 (false for NaN).
+func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// dslInt converts a parsed DSL number to int, reporting false when int
+// cannot hold it (NaN, ±Inf or out of range) instead of letting the
+// conversion wrap.
+func dslInt(f float64) (int, bool) {
+	if !(f >= math.MinInt && f < -float64(math.MinInt)) {
+		return 0, false
+	}
+	return int(f), true
 }
 
 // Arrival is one job entering the open system: the instant, the tenant
@@ -301,19 +315,27 @@ func ParseTenants(spec string) ([]Tenant, error) {
 				if err != nil {
 					return nil, fmt.Errorf("workload: tenant %s: bad %s value %q", t.Name, key, val)
 				}
+				var dst *int
 				switch key {
 				case "weight":
 					t.Weight = f
 				case "rate":
 					t.Rate = f
 				case "cap":
-					t.QueueCap = int(f)
+					dst = &t.QueueCap
 				case "min":
-					t.MinGB = int(f)
+					dst = &t.MinGB
 				case "max":
-					t.MaxGB = int(f)
+					dst = &t.MaxGB
 				default:
 					return nil, fmt.Errorf("workload: tenant %s: unknown attribute %q", t.Name, key)
+				}
+				if dst != nil {
+					n, ok := dslInt(f)
+					if !ok {
+						return nil, fmt.Errorf("workload: tenant %s: %s value %q out of range", t.Name, key, val)
+					}
+					*dst = n
 				}
 			}
 		}
@@ -352,7 +374,11 @@ func ParseArrivalPlan(spec string) (ArrivalPlan, error) {
 		case "warmup":
 			p.Warmup = f
 		case "maxactive":
-			p.MaxActive = int(f)
+			n, ok := dslInt(f)
+			if !ok {
+				return p, fmt.Errorf("workload: maxactive value %q out of range", val)
+			}
+			p.MaxActive = n
 		case "preempt":
 			p.Preempt = f != 0
 		default:

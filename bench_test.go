@@ -506,6 +506,26 @@ func BenchmarkCore_ReduceCostEval(b *testing.B) {
 	}
 }
 
+// BenchmarkCore_SelectReduceTask runs Algorithm 2's candidate selection
+// for one job on a reduce-slot offer: one sweep over the coster's
+// map-node rows for all 30 pending reduces, avail = the whole cluster.
+func BenchmarkCore_SelectReduceTask(b *testing.B) {
+	cm, j := microFixture(b)
+	rc := cm.NewReduceCoster(j, core.ProgressScaled{})
+	avail := make([]topology.NodeID, 60)
+	for i := range avail {
+		avail[i] = topology.NodeID(i)
+	}
+	a := core.NewAvail(avail)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := core.SelectReduceTask(rc, nil, j.Reduces, topology.NodeID(i%60), a); !ok {
+			b.Fatal("no candidate")
+		}
+	}
+}
+
 func benchSelectMapTask(b *testing.B, cached bool) {
 	cm, j := microFixture(b)
 	for _, m := range j.Maps {

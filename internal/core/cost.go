@@ -303,6 +303,11 @@ type ReduceCoster struct {
 	availVersion uint64
 	hValid       bool
 	hSum         []float64
+
+	// sweep scratch: the pending tasks' partitions and positions, and
+	// their cost / C_avg numerator accumulators.
+	sweepF, sweepPos    []int
+	sweepCost, sweepAvg []float64
 }
 
 // NewReduceCoster snapshots the launched maps of j under the estimator.
@@ -526,18 +531,30 @@ func (rc *ReduceCoster) Cost(i topology.NodeID, f int) float64 {
 
 // CostAvg returns C_avg = Σ_k C_r(k,f) / N_r over nodes with free reduce
 // slots (Algorithm 2 line 7). Summation is reordered as
-// Σ_p S_pf · (Σ_k h_pk), with the inner distance sums cached per
-// (avail set, distance epoch); the result is identical to averaging Cost
-// over avail. A matching non-zero a.Version revalidates the cache in
-// O(1); the node-list comparison is the fallback for ad-hoc snapshots.
-// With a class structure each inner sum is the O(classes) classHSum; when
-// distances are volatile with no epoch signal the sums are recomputed on
-// every call.
+// Σ_p S_pf · (Σ_k h_pk), with the inner distance sums cached by hSums;
+// the result is identical to averaging Cost over avail.
 func (rc *ReduceCoster) CostAvg(f int, a Avail) float64 {
-	avail := a.Nodes
-	if len(avail) == 0 {
+	if len(a.Nodes) == 0 {
 		return 0
 	}
+	h := rc.hSums(a)
+	var sum float64
+	for pi := range rc.nodes {
+		if v := rc.s[pi][f]; v > 0 {
+			sum += v * h[pi]
+		}
+	}
+	return sum / float64(len(a.Nodes))
+}
+
+// hSums returns hSum[pi] = Σ_{k in avail} h(p_i, k) for every map node,
+// cached per (avail set, distance epoch). A matching non-zero a.Version
+// revalidates the cache in O(1); the node-list comparison is the
+// fallback for ad-hoc snapshots. With a class structure each sum is the
+// O(classes) classHSum; when distances are volatile with no epoch signal
+// the sums are recomputed on every call. a.Nodes must be non-empty.
+func (rc *ReduceCoster) hSums(a Avail) []float64 {
+	avail := a.Nodes
 	ep, epOK := rc.cm.DistanceEpoch()
 	sameAvail := (a.Version != 0 && a.Version == rc.availVersion) || equalNodes(rc.availCache, avail)
 	if !epOK || ep != rc.availEpoch || !rc.hValid || !sameAvail {
@@ -567,13 +584,61 @@ func (rc *ReduceCoster) CostAvg(f int, a Avail) float64 {
 		rc.hValid = true
 	}
 	rc.availVersion = a.Version
-	var sum float64
-	for pi := range rc.nodes {
-		if v := rc.s[pi][f]; v > 0 {
-			sum += v * rc.hSum[pi]
+	return rc.hSum
+}
+
+// sweep evaluates Formula 3 and the C_avg numerator for the pending
+// tasks among tasks on node i in one row-major pass over the map-node
+// rows. For the k-th pending task, tasks[pos[k]] with partition f,
+// cost[k] = C_r(i, f) and asum[k] = Σ_p S_pf · hSum_p (meaningless when
+// avail is empty, where C_avg is 0 by definition). Each entry sees
+// exactly the additions Cost and CostAvg make — same rows in the same
+// order, same operands — so the results are bit-identical to theirs,
+// while h(p, i) and hSum_p are read once per row instead of once per
+// (row, partition). The returned slices are coster scratch, valid until
+// the next call.
+func (rc *ReduceCoster) sweep(i topology.NodeID, tasks []*job.ReduceTask, a Avail) (pos []int, cost, asum []float64) {
+	fs, pos := rc.sweepF[:0], rc.sweepPos[:0]
+	for k, r := range tasks {
+		if r.State == job.TaskPending {
+			fs = append(fs, r.Index)
+			pos = append(pos, k)
 		}
 	}
-	return sum / float64(len(avail))
+	rc.sweepF, rc.sweepPos = fs, pos
+	cost = zeroed(rc.sweepCost, len(fs))
+	asum = zeroed(rc.sweepAvg, len(fs))
+	rc.sweepCost, rc.sweepAvg = cost, asum
+	var h []float64
+	if len(a.Nodes) > 0 {
+		h = rc.hSums(a)
+	}
+	for pi, p := range rc.nodes {
+		row := rc.s[pi]
+		d := rc.cm.Distance(p, i)
+		var hp float64
+		if h != nil {
+			hp = h[pi]
+		}
+		for k, f := range fs {
+			if v := row[f]; v > 0 {
+				cost[k] += d * v
+				asum[k] += v * hp
+			}
+		}
+	}
+	return pos, cost, asum
+}
+
+// zeroed returns buf resized to n with every entry zero, reallocating
+// only when it is too small.
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // equalNodes reports whether two node lists are identical.

@@ -120,14 +120,14 @@ func SelectMapTask(cm *CostModel, model ProbabilityModel, tasks []*job.MapTask, 
 }
 
 // SelectMapTaskWith runs lines 2–9 of Algorithm 1: for every candidate map
-// task it computes the placement cost on node i (Formula 1), the average
-// cost over nodes with free map slots, and the probability under the
-// configured model (Formula 4 when model is nil), returning the candidate
+// task it computes the placement cost on node i (Formula 1) and the
+// average cost over nodes with free map slots, returning the candidate
 // with the largest transmission-cost saving plus the best data-local
 // candidate (which Best need not subsume: a large remote task can
 // out-save a small local one). Ties on saving go to the earlier task, for
-// determinism. ok is false when tasks is empty or no candidate is
-// schedulable.
+// determinism. The probability under the configured model (Formula 4
+// when model is nil) is computed once for each returned candidate. ok is
+// false when tasks is empty or no candidate is schedulable.
 //
 // When the evaluator is a SelectOptimizer, candidates are scanned in
 // non-increasing SavingBound order and the scan stops at the first bound
@@ -149,7 +149,7 @@ func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job
 			return
 		}
 		avg := ev.CostAvg(m, avail)
-		c := Choice{MapTask: m, Prob: model.Prob(avg, cost), Cost: cost, AvgCost: avg}
+		c := Choice{MapTask: m, Cost: cost, AvgCost: avg}
 		s := c.Saving()
 		if bestPos < 0 || s > sel.Best.Saving() || (s == sel.Best.Saving() && pos < bestPos) {
 			sel.Best, bestPos, ok = c, pos, true
@@ -168,50 +168,66 @@ func SelectMapTaskWith(ev MapCostEvaluator, model ProbabilityModel, tasks []*job
 		for pos, m := range tasks {
 			consider(pos, m)
 		}
-		return sel, ok
-	}
-	order := so.SizeOrder(tasks)
-	cut := len(order)
-	for oi, pos := range order {
-		m := tasks[pos]
-		if ok && so.SavingBound(m) < sel.Best.Saving() {
-			cut = oi
-			break
-		}
-		consider(pos, m)
-	}
-	for _, pos := range order[cut:] {
-		if m := tasks[pos]; so.ZeroCost(m, i) {
+	} else {
+		order := so.SizeOrder(tasks)
+		cut := len(order)
+		for oi, pos := range order {
+			m := tasks[pos]
+			if ok && so.SavingBound(m) < sel.Best.Saving() {
+				cut = oi
+				break
+			}
 			consider(pos, m)
 		}
+		for _, pos := range order[cut:] {
+			if m := tasks[pos]; so.ZeroCost(m, i) {
+				consider(pos, m)
+			}
+		}
+	}
+	if ok {
+		sel.Best.Prob = model.Prob(sel.Best.AvgCost, sel.Best.Cost)
+	}
+	if sel.HasLocal() {
+		sel.Local.Prob = model.Prob(sel.Local.AvgCost, sel.Local.Cost)
 	}
 	return sel, ok
 }
 
-// SelectReduceTask runs lines 2–10 of Algorithm 2: for every candidate
-// reduce task it computes the shuffle cost on node i (Formula 3 with the
-// estimator's Î_jf), the average over nodes with free reduce slots, and
-// the probability under the configured model (Formula 5 when model is
-// nil), returning the candidate with the largest transmission-cost
-// saving. Unreachable placements (infinite cost, e.g. after a link sever)
-// are skipped, exactly as in map selection — a −Inf saving must not
-// become a job's "best" and mask schedulable candidates. ok is false when
-// tasks is empty or every placement is unreachable.
+// SelectReduceTask runs lines 2–10 of Algorithm 2: for every pending
+// reduce task among tasks (others are skipped, so callers pass j.Reduces
+// as is) it computes the shuffle cost on node i (Formula 3 with the
+// estimator's Î_jf) and the average over nodes with free reduce slots,
+// returning the candidate with the largest transmission-cost saving;
+// ties go to the earlier task. Costs come from one row-major sweep over
+// the coster's map-node rows, bit-identical to per-task Cost / CostAvg
+// calls. The probability under the configured model (Formula 5 when
+// model is nil) is computed for the winner only. Unreachable placements
+// (infinite cost, e.g. after a link sever) are skipped, exactly as in map
+// selection — a −Inf saving must not become a job's "best" and mask
+// schedulable candidates. ok is false when no task is pending or every
+// placement is unreachable.
 func SelectReduceTask(rc *ReduceCoster, model ProbabilityModel, tasks []*job.ReduceTask, i topology.NodeID, avail Avail) (best Choice, ok bool) {
 	if model == nil {
 		model = Exponential{}
 	}
-	for _, r := range tasks {
-		cost := rc.Cost(i, r.Index)
-		if math.IsInf(cost, 1) {
+	pos, cost, asum := rc.sweep(i, tasks, avail)
+	n := float64(len(avail.Nodes))
+	for k, c := range cost {
+		if math.IsInf(c, 1) {
 			continue
 		}
-		avg := rc.CostAvg(r.Index, avail)
-		c := Choice{ReduceTask: r, Prob: model.Prob(avg, cost), Cost: cost, AvgCost: avg}
-		if !ok || c.Saving() > best.Saving() {
-			best = c
+		var avg float64
+		if n > 0 {
+			avg = asum[k] / n
+		}
+		if !ok || avg-c > best.Saving() {
+			best = Choice{ReduceTask: tasks[pos[k]], Cost: c, AvgCost: avg}
 			ok = true
 		}
+	}
+	if ok {
+		best.Prob = model.Prob(best.AvgCost, best.Cost)
 	}
 	return best, ok
 }

@@ -226,6 +226,15 @@ type Decider struct {
 	// path, the direct cost model when cfg.Naive is set.
 	mapCost core.MapCostEvaluator
 	maps    *core.MapCoster // nil on the naive path
+
+	// pendingMaps is scanMaps scratch: the offered job's pending maps in
+	// task order, refilled per job instead of allocated per offer.
+	pendingMaps []*job.MapTask
+
+	// currentCosters holds the baseline schedulers' per-job reduce
+	// costers under the CurrentSize estimator (see CurrentCoster);
+	// swept with costerCache.
+	currentCosters map[job.ID]*core.ReduceCoster
 }
 
 // costerEntry is one cached reduce coster with its last refresh time.
@@ -248,11 +257,12 @@ func NewDecider(svc *Service, cfg Config, rng *sim.RNG, stream *obs.Stream) *Dec
 		cfg.Model = core.Exponential{}
 	}
 	d := &Decider{
-		svc:         svc,
-		cfg:         cfg,
-		rng:         rng,
-		obs:         stream,
-		costerCache: make(map[job.ID]costerEntry),
+		svc:            svc,
+		cfg:            cfg,
+		rng:            rng,
+		obs:            stream,
+		costerCache:    make(map[job.ID]costerEntry),
+		currentCosters: make(map[job.ID]*core.ReduceCoster),
 	}
 	// Opening a session reads shared state (the store's distance epoch,
 	// link factors), so it takes the service read lock: sessions may open
@@ -302,14 +312,25 @@ func (d *Decider) Locality(m *job.MapTask, node topology.NodeID) job.Locality {
 	return d.cost.Locality(m, node)
 }
 
-// NewReduceCoster builds a fresh, uncached reduce coster for j (the
-// baseline schedulers' path; the probabilistic path caches via
-// PlaceReduce). The returned coster reads shared service state and is
-// therefore for single-threaded (embedded) use only.
-func (d *Decider) NewReduceCoster(j *job.Job, est core.Estimator) *core.ReduceCoster {
+// CurrentCoster returns j's reduce coster under the CurrentSize
+// estimator — the unscaled A_jf view the baseline schedulers rank
+// reduces by — brought up to date with the job's current task state.
+// One coster per job is kept and Refreshed on every call, which is
+// bit-identical to building a fresh one (see core.ReduceCoster.Refresh);
+// costers of jobs that left req's live set are swept like the
+// probabilistic path's cache. The returned coster reads shared service
+// state and is therefore for single-threaded (embedded) use only.
+func (d *Decider) CurrentCoster(req *Request, j *job.Job) *core.ReduceCoster {
 	d.svc.mu.RLock()
 	defer d.svc.mu.RUnlock()
-	return d.cost.NewReduceCoster(j, est)
+	d.sweep(req)
+	if rc, ok := d.currentCosters[j.ID]; ok {
+		rc.Refresh()
+		return rc
+	}
+	rc := d.cost.NewReduceCoster(j, core.CurrentSize{})
+	d.currentCosters[j.ID] = rc
+	return rc
 }
 
 // coster returns a fresh-enough reduce coster for j. A stale coster is
@@ -332,20 +353,21 @@ func (d *Decider) coster(j *job.Job, now sim.Time) *core.ReduceCoster {
 }
 
 // sweep evicts cached state of jobs that left the live set (finished or
-// removed), fixing the per-completed-job leak of both the reduce-coster
-// cache and the map-cost rows. Evicted jobs are never offered slots
-// again, so eviction cannot change a scheduling decision. It runs on
-// every job-set change — detected by the (length, tail ID) signature of
-// the append-ordered live list, whose IDs strictly increase — rather than
-// only when the cache outgrows the live set: under balanced churn (one
-// job finishing as another arrives) the sizes stay equal while dead
-// entries pile up.
+// removed), fixing the per-completed-job leak of both reduce-coster
+// caches (costerCache and currentCosters) and the map-cost rows.
+// Evicted jobs are never offered slots again, so eviction cannot change
+// a scheduling decision. It runs on every job-set change — detected by
+// the (length, tail ID) signature of the append-ordered live list, whose
+// IDs strictly increase — rather than only when a cache outgrows the
+// live set: under balanced churn (one job finishing as another arrives)
+// the sizes stay equal while dead entries pile up.
 func (d *Decider) sweep(req *Request) {
 	tail := job.ID(-1)
 	if n := len(req.Jobs); n > 0 {
 		tail = req.Jobs[n-1].ID
 	}
-	if len(req.Jobs) == d.sweptLen && tail == d.sweptTail && len(d.costerCache) <= len(req.Jobs) {
+	if len(req.Jobs) == d.sweptLen && tail == d.sweptTail &&
+		len(d.costerCache) <= len(req.Jobs) && len(d.currentCosters) <= len(req.Jobs) {
 		return
 	}
 	d.sweptLen, d.sweptTail = len(req.Jobs), tail
@@ -359,6 +381,11 @@ func (d *Decider) sweep(req *Request) {
 				d.maps.Forget(e.rc.Job())
 			}
 			delete(d.costerCache, id)
+		}
+	}
+	for id := range d.currentCosters {
+		if _, ok := live[id]; !ok {
+			delete(d.currentCosters, id)
 		}
 	}
 }
@@ -407,7 +434,14 @@ func (d *Decider) scanMaps(req *Request, node topology.NodeID) mapScan {
 	d.sweep(req)
 	var s mapScan
 	for _, j := range OrderJobs(req, d.cfg.JobPolicy, MapTasks) {
-		sel, ok := core.SelectMapTaskWith(d.mapCost, d.cfg.Model, j.PendingMaps(), node, req.AvailMap)
+		pend := d.pendingMaps[:0]
+		for _, m := range j.Maps {
+			if m.State == job.TaskPending {
+				pend = append(pend, m)
+			}
+		}
+		d.pendingMaps = pend
+		sel, ok := core.SelectMapTaskWith(d.mapCost, d.cfg.Model, pend, node, req.AvailMap)
 		if !ok {
 			continue
 		}
@@ -619,7 +653,7 @@ func (d *Decider) selectReduce(req *Request, node topology.NodeID, spread bool) 
 			continue // Algorithm 2 line 1
 		}
 		rc := d.coster(j, req.Now)
-		c, ok := core.SelectReduceTask(rc, d.cfg.Model, j.PendingReduces(), node, req.AvailReduce)
+		c, ok := core.SelectReduceTask(rc, d.cfg.Model, j.Reduces, node, req.AvailReduce)
 		if !ok {
 			continue
 		}

@@ -146,6 +146,64 @@ func TestSweepEvictsUnderBalancedChurn(t *testing.T) {
 	}
 }
 
+// TestCurrentCosterMatchesFresh pins the baseline schedulers' cached
+// reduce coster: one coster per job, Refreshed on every call, must equal
+// a coster built from scratch under CurrentSize after any task churn, in
+// every observable the baselines read.
+func TestCurrentCosterMatchesFresh(t *testing.T) {
+	f := newFixture(t)
+	d := f.decider(Config{Naive: true})
+	j := f.addJob(t, 1, []topology.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3}, 5)
+	req := reqFor(j)
+	rng := sim.NewRNG(3)
+	nodes := allNodes(8)
+	first := d.CurrentCoster(req, j)
+	for round := 0; round < 50; round++ {
+		for _, m := range j.Maps {
+			switch rng.Intn(4) {
+			case 0:
+				m.State, m.Node, m.Progress = job.TaskRunning, topology.NodeID(rng.Intn(8)), rng.Float64()
+			case 1:
+				if m.State == job.TaskRunning {
+					m.State, m.Progress = job.TaskDone, 1
+				}
+			case 2:
+				m.State, m.Node, m.Progress = job.TaskPending, -1, 0
+			}
+		}
+		got := d.CurrentCoster(req, j)
+		if got != first {
+			t.Fatalf("round %d: coster rebuilt instead of refreshed", round)
+		}
+		want := d.cost.NewReduceCoster(j, core.CurrentSize{})
+		for fi := range j.Reduces {
+			if a, b := got.TotalEstimated(fi), want.TotalEstimated(fi); a != b {
+				t.Fatalf("round %d: TotalEstimated(%d) = %v, fresh %v", round, fi, a, b)
+			}
+			for _, n := range nodes {
+				if a, b := got.OnNode(n, fi), want.OnNode(n, fi); a != b {
+					t.Fatalf("round %d: OnNode(%d,%d) = %v, fresh %v", round, n, fi, a, b)
+				}
+				if a, b := got.Cost(n, fi), want.Cost(n, fi); a != b {
+					t.Fatalf("round %d: Cost(%d,%d) = %v, fresh %v", round, n, fi, a, b)
+				}
+			}
+			a, _ := got.Centrality(fi, nodes)
+			b, _ := want.Centrality(fi, nodes)
+			if a != b {
+				t.Fatalf("round %d: Centrality(%d) = %d, fresh %d", round, fi, a, b)
+			}
+		}
+	}
+
+	// Balanced churn: j leaves as j2 arrives; j's coster must go.
+	j2 := f.addJob(t, 2, []topology.NodeID{1}, 2)
+	d.CurrentCoster(reqFor(j2), j2)
+	if _, dead := d.currentCosters[j.ID]; dead || len(d.currentCosters) != 1 {
+		t.Fatalf("departed job's coster survived the sweep (%d cached)", len(d.currentCosters))
+	}
+}
+
 // TestPlaceMapOutcomeBreakdown checks the Outcome mirrors the decision:
 // a data-local candidate is assigned instantly with P = 1, and a remote
 // candidate under a prohibitive P_min is refused with the full breakdown.

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"mapsched/internal/core"
 	"mapsched/internal/job"
 	"mapsched/internal/placement"
 	"mapsched/internal/topology"
@@ -84,7 +83,7 @@ func (c *Capacity) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceT
 		if len(pending) == 0 {
 			continue
 		}
-		rc := c.dec.NewReduceCoster(j, core.CurrentSize{})
+		rc := c.dec.CurrentCoster(ctx.request(), j)
 		best := pending[0]
 		bestOn := rc.OnNode(node, best.Index)
 		for _, r := range pending[1:] {

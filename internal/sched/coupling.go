@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"mapsched/internal/core"
 	"mapsched/internal/job"
 	"mapsched/internal/obs"
 	"mapsched/internal/placement"
@@ -147,7 +146,7 @@ func (c *Coupling) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceT
 		}
 		// Choose the pending reduce with the largest current data volume —
 		// the one whose placement matters most right now.
-		rc := c.dec.NewReduceCoster(j, core.CurrentSize{})
+		rc := c.dec.CurrentCoster(ctx.request(), j)
 		best := pending[0]
 		bestVol := rc.TotalEstimated(best.Index)
 		for _, r := range pending[1:] {

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"mapsched/internal/core"
 	"mapsched/internal/job"
 	"mapsched/internal/placement"
 	"mapsched/internal/topology"
@@ -77,7 +76,7 @@ func (l *LARTS) AssignReduce(ctx *Context, node topology.NodeID) *job.ReduceTask
 		if len(pending) == 0 {
 			continue
 		}
-		rc := l.dec.NewReduceCoster(j, core.CurrentSize{})
+		rc := l.dec.CurrentCoster(ctx.request(), j)
 		// Consider the pending reduce with the most known input — its
 		// placement matters most now.
 		best := pending[0]

@@ -13,6 +13,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -203,6 +204,17 @@ func dslInt(f float64) (int, bool) {
 	return int(f), true
 }
 
+// MaxArrivals caps the arrival stream BuildArrivals generates. A finite
+// but huge rate × horizon would otherwise allocate until memory runs
+// out; an open-system run of this many jobs is far beyond what the
+// simulator can execute anyway.
+const MaxArrivals = 1 << 16
+
+// ErrTooManyArrivals reports a plan whose arrival stream passes
+// MaxArrivals, either in expectation (Σ rate·horizon plus the trace) or
+// as generated.
+var ErrTooManyArrivals = errors.New("workload: arrival stream exceeds cap")
+
 // Arrival is one job entering the open system: the instant, the tenant
 // it bills to, and the fully instantiated spec.
 type Arrival struct {
@@ -217,7 +229,9 @@ type Arrival struct {
 // tenant is independent of every other tenant's presence. Trace
 // arrivals keep their JobDef names verbatim (so a single-tenant trace
 // reproduces a closed batch exactly); Poisson arrivals get unique
-// "<tenant>-<seq>_<kind>_<size>GB" names.
+// "<tenant>-<seq>_<kind>_<size>GB" names. A plan whose stream passes
+// MaxArrivals is rejected with ErrTooManyArrivals: up front when the
+// expected count does, during generation when the drawn count does.
 func BuildArrivals(plan ArrivalPlan, tenants []Tenant, seed int64, o Options) ([]Arrival, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -237,6 +251,13 @@ func BuildArrivals(plan ArrivalPlan, tenants []Tenant, seed int64, o Options) ([
 			return nil, fmt.Errorf("workload: duplicate tenant %q", t.Name)
 		}
 		byName[t.Name] = t
+	}
+	expected := float64(len(plan.Trace))
+	for _, t := range tenants {
+		expected += t.Rate * plan.Horizon
+	}
+	if expected > MaxArrivals {
+		return nil, fmt.Errorf("%w: plan expects %.3g arrivals, cap is %d", ErrTooManyArrivals, expected, MaxArrivals)
 	}
 
 	var out []Arrival
@@ -267,6 +288,9 @@ func BuildArrivals(plan ArrivalPlan, tenants []Tenant, seed int64, o Options) ([
 		mix := t.kinds()
 		at := rng.ExpFloat64() / t.Rate
 		for seq := 1; at < plan.Horizon; seq++ {
+			if len(out) == MaxArrivals {
+				return nil, fmt.Errorf("%w: more than %d arrivals generated", ErrTooManyArrivals, MaxArrivals)
+			}
 			gb := lo + rng.Intn(hi-lo+1)
 			maps := int(float64(gb)*1e9/115e6) + rng.Intn(20)
 			if maps < 1 {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -56,5 +57,33 @@ func TestDSLParses(t *testing.T) {
 	}
 	if p.Horizon != 600 || p.Warmup != 60 || p.MaxActive != 12 || !p.Preempt {
 		t.Fatalf("ParseArrivalPlan = %+v", p)
+	}
+}
+
+// TestBuildArrivalsCap pins the arrival cap: a finite but huge
+// rate × horizon used to loop in BuildArrivals until memory ran out.
+// It is now rejected up front with ErrTooManyArrivals, and a plan whose
+// expectation sits exactly at the cap fails with the same error once
+// the drawn count passes it (seed 1 draws past it).
+func TestBuildArrivalsCap(t *testing.T) {
+	o := DefaultOptions()
+	ts, err := ParseTenants("a:rate=1e12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ParseArrivalPlan("horizon=1e6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildArrivals(plan, ts, 1, o); !errors.Is(err, ErrTooManyArrivals) {
+		t.Fatalf("rate=1e12 over horizon=1e6: err = %v, want ErrTooManyArrivals", err)
+	}
+	trace := make([]TraceArrival, MaxArrivals+1)
+	if _, err := BuildArrivals(ArrivalPlan{Trace: trace}, nil, 1, o); !errors.Is(err, ErrTooManyArrivals) {
+		t.Fatalf("%d trace arrivals: err = %v, want ErrTooManyArrivals", len(trace), err)
+	}
+	atCap := []Tenant{{Name: "a", Rate: MaxArrivals}}
+	if out, err := BuildArrivals(ArrivalPlan{Horizon: 1}, atCap, 1, o); !errors.Is(err, ErrTooManyArrivals) {
+		t.Fatalf("plan drawing past the cap: %d arrivals, err = %v, want ErrTooManyArrivals", len(out), err)
 	}
 }

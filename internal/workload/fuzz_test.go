@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -45,7 +46,9 @@ func FuzzParseTenants(f *testing.F) {
 }
 
 // FuzzParseArrivalPlan checks that every arrival spec the parser
-// accepts yields a plan that passes Validate and has finite times.
+// accepts yields a plan that passes Validate and has finite times, and
+// that building it for a one-job-per-second tenant either stays within
+// MaxArrivals or fails with ErrTooManyArrivals.
 func FuzzParseArrivalPlan(f *testing.F) {
 	f.Add("horizon=600,warmup=60,maxactive=12,preempt=1")
 	f.Add("horizon=0")
@@ -56,6 +59,8 @@ func FuzzParseArrivalPlan(f *testing.F) {
 	f.Add("maxactive=1e30")
 	f.Add("maxactive=-1")
 	f.Add("warmup")
+	f.Add("horizon=1e6")
+	f.Add("horizon=1e300")
 	f.Fuzz(func(t *testing.T, spec string) {
 		p, err := ParseArrivalPlan(spec)
 		if err != nil {
@@ -66,6 +71,13 @@ func FuzzParseArrivalPlan(f *testing.F) {
 		}
 		if !finite(p.Horizon, p.Warmup) {
 			t.Fatalf("spec %q accepted non-finite plan %+v", spec, p)
+		}
+		out, err := BuildArrivals(p, []Tenant{{Name: "a", Rate: 1}}, 1, DefaultOptions())
+		if err != nil && !errors.Is(err, ErrTooManyArrivals) {
+			t.Fatalf("spec %q: accepted plan fails to build: %v", spec, err)
+		}
+		if len(out) > MaxArrivals {
+			t.Fatalf("spec %q built %d arrivals, cap is %d", spec, len(out), MaxArrivals)
 		}
 	})
 }

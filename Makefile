@@ -60,9 +60,10 @@ race:
 bench-smoke:
 	$(GO) run ./cmd/benchledger -check
 
-# Short native-fuzz smoke over every parser/decoder fuzz target in the
-# tree: seeds plus a few seconds of mutation each, so a crash in the
-# journal decoder or the fault-plan DSL parser surfaces in CI without a
+# Short native-fuzz smoke over every parser/decoder/validator fuzz target
+# in the tree: seeds plus a few seconds of mutation each, so a crash in
+# the journal decoder or the fault-plan DSL parser, or a non-finite
+# config value that validation lets through, surfaces in CI without a
 # dedicated long-running fuzz job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeJournal' -fuzztime 5s ./internal/placement
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzCostCeiling' -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzParseTenants' -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz 'FuzzParseArrivalPlan' -fuzztime 5s ./internal/workload
+	$(GO) test -run '^$$' -fuzz 'FuzzConfigValidate' -fuzztime 5s ./internal/engine
 
 # Full benchmark pass; refreshes the values (never the budgets) in
 # BENCH.json.

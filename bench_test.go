@@ -471,6 +471,43 @@ func BenchmarkCore_MapCost(b *testing.B) {
 	}
 }
 
+// BenchmarkCore_MapCosterNetCond measures the network-condition map rows
+// after one churn: a host-link capacity change bumps the flow network's
+// epoch, then every one of the job's 100 block rows is rebuilt from the
+// new path rates on a 60-node cluster (2 replicas per block).
+func BenchmarkCore_MapCosterNetCond(b *testing.B) {
+	net, err := topology.NewCluster(sim.NewEngine(), topology.DefaultSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(1)
+	store := hdfs.NewStore(net, rng)
+	cm, err := core.NewCostModel(net, store, net, core.ModeNetworkCondition)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := job.New(1, job.Spec{
+		Name:        "bench",
+		Profile:     workload.ProfileFor(workload.Wordcount),
+		InputBytes:  100 * 128e6,
+		BlockSize:   128e6,
+		NumReduces:  30,
+		Replication: 2,
+	}, store, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc := cm.NewMapCoster()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.SetHostLinkFactor(topology.NodeID(i%60), 0.5+0.5*float64(i/60%2))
+		for _, m := range j.Maps {
+			_ = mc.Cost(m, 0)
+		}
+	}
+}
+
 func BenchmarkCore_ReduceCosterBuild(b *testing.B) {
 	cm, j := microFixture(b)
 	b.ReportAllocs()

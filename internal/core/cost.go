@@ -98,14 +98,21 @@ func (c *CostModel) Classes() *topology.Classes { return c.classes }
 func (c *CostModel) Distance(a, b topology.NodeID) float64 {
 	switch c.mode {
 	case ModeNetworkCondition:
-		r := c.rate.PathRate(a, b)
-		if r <= 0 {
-			return math.Inf(1)
-		}
-		return 1 / r
+		return rateDist(c.rate.PathRate(a, b))
 	default:
 		return c.net.Distance(a, b)
 	}
+}
+
+// rateDist maps a path rate to its network-condition distance: 1/r, or
+// +Inf for a severed path (r ≤ 0). It never increases as r grows (IEEE
+// division rounds monotonically), so the nearest-replica distance
+// min_l rateDist(r_l) is rateDist(max_l r_l) bit for bit.
+func rateDist(r float64) float64 {
+	if r <= 0 {
+		return math.Inf(1)
+	}
+	return 1 / r
 }
 
 // epochObserver is implemented by rate observers whose PathRate output is
@@ -137,13 +144,25 @@ func (c *CostModel) DistanceEpoch() (uint64, bool) {
 
 // MapCost returns C_m(i,j) = B_j · min_{l: L_lj=1} h_il (Formula 1): the
 // cost of running map task m on node i, reading from the nearest replica.
+// In network-condition mode the minimum is taken as the fastest path
+// rate, then inverted, exactly as the MapCoster's rows do.
 func (c *CostModel) MapCost(m *job.MapTask, i topology.NodeID) float64 {
 	best := math.Inf(1)
-	for _, l := range c.store.Replicas(m.Block) {
-		if d := c.Distance(i, l); d < best {
-			best = d
-			if best == 0 {
-				break
+	if c.mode == ModeNetworkCondition {
+		var rate float64
+		for _, l := range c.store.Replicas(m.Block) {
+			if r := c.rate.PathRate(i, l); r > rate {
+				rate = r
+			}
+		}
+		best = rateDist(rate)
+	} else {
+		for _, l := range c.store.Replicas(m.Block) {
+			if d := c.Distance(i, l); d < best {
+				best = d
+				if best == 0 {
+					break
+				}
 			}
 		}
 	}

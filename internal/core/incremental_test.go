@@ -212,9 +212,31 @@ type hideEpoch struct{ r topology.RateObserver }
 
 func (h hideEpoch) PathRate(a, b topology.NodeID) float64 { return h.r.PathRate(a, b) }
 
+func (h hideEpoch) MaxPathRates(replicas []topology.NodeID, out []float64) {
+	h.r.MaxPathRates(replicas, out)
+}
+
+// perPairMapCost is Formula 1 evaluated pair by pair: the minimum of
+// Distance(i, l) over the block's replicas, independent of how MapCost
+// and the MapCoster collapse the minimum.
+func perPairMapCost(cm *CostModel, m *job.MapTask, i topology.NodeID) float64 {
+	best := math.Inf(1)
+	for _, l := range cm.store.Replicas(m.Block) {
+		if d := cm.Distance(i, l); d < best {
+			best = d
+		}
+	}
+	if math.IsInf(best, 1) {
+		return best
+	}
+	return m.Size * best
+}
+
 // TestMapCosterMatchesNaive checks the cached Formula 1 path against the
 // direct computation, bit for bit, across distance modes, epoch churn and
-// changing avail sets — including the no-epoch-signal fallback.
+// changing avail sets — including the no-epoch-signal fallback. The
+// network-condition cases run on three racks with host links severed and
+// restored along the way.
 func TestMapCosterMatchesNaive(t *testing.T) {
 	cases := []struct {
 		name string
@@ -251,11 +273,18 @@ func TestMapCosterMatchesNaive(t *testing.T) {
 						eng.Step()
 					}
 				}
+				if tc.mode == ModeNetworkCondition && round%4 == 1 {
+					cl.SetHostLinkFactor(topology.NodeID(rng.Intn(cl.Size())), float64(rng.Intn(2)))
+				}
 				avail := randomAvail(rng, cl.Size())
 				for _, m := range j.Maps {
-					n := topology.NodeID(rng.Intn(cl.Size()))
-					if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
-						t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
+					for n := topology.NodeID(0); int(n) < cl.Size(); n++ {
+						if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
+							t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
+						}
+						if got, want := cm.MapCost(m, n), perPairMapCost(cm, m, n); got != want {
+							t.Fatalf("round %d: MapCost(m%d,%d) = %v, per pair %v", round, m.Index, n, got, want)
+						}
 					}
 					if got, want := mc.CostAvg(m, NewAvail(avail)), cm.MapCostAvg(m, avail); got != want {
 						t.Fatalf("round %d: CostAvg(m%d) = %v, naive %v", round, m.Index, got, want)

@@ -69,9 +69,17 @@ func (mc *MapCoster) row(m *job.MapTask) *mapRow {
 		return r
 	}
 	replicas := mc.cm.store.Replicas(m.Block)
-	if cl != nil {
+	switch {
+	case cl != nil:
 		mc.cm.classMinD(replicas, r.classMinD)
-	} else {
+	case mc.cm.mode == ModeNetworkCondition:
+		// One nearest-replica rate per node from the observer's per-rack
+		// terms; inverting the maximum rate is the minimum distance.
+		mc.cm.rate.MaxPathRates(replicas, r.dist)
+		for k, rate := range r.dist {
+			r.dist[k] = rateDist(rate)
+		}
+	default:
 		for k := range r.dist {
 			best := math.Inf(1)
 			for _, l := range replicas {

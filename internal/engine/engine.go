@@ -14,6 +14,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"mapsched/internal/cluster"
 	"mapsched/internal/core"
@@ -141,8 +142,34 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports whether the configuration is usable.
+// Validate reports whether the configuration is usable, including its
+// topology. Every float field must be finite: NaN slips through range
+// comparisons (a NaN heartbeat never advances the clock, a NaN slowstart
+// never releases a reduce), and no field has a meaningful infinite
+// value. In particular an infinite MaxSimTime or HeartbeatExpiry is not
+// read as "never": zero already selects the defaults, and a crashed node
+// that is never detected would leave its tasks stranded.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HeartbeatInterval", c.HeartbeatInterval},
+		{"Slowstart", c.Slowstart},
+		{"TaskOverhead", c.TaskOverhead},
+		{"MaxSimTime", c.MaxSimTime},
+		{"SpecSlowdown", c.SpecSlowdown},
+		{"HeartbeatExpiry", c.HeartbeatExpiry},
+		{"SlowNodeFraction", c.SlowNodeFraction},
+		{"SlowFactor", c.SlowFactor},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("engine: %s = %v, must be finite", f.name, f.v)
+		}
+	}
+	if err := c.Topology.Validate(); err != nil {
+		return err
+	}
 	if c.MapSlotsPerNode < 1 || c.ReduceSlotsPerNode < 1 {
 		return fmt.Errorf("engine: slots per node must be >= 1")
 	}
@@ -187,8 +214,8 @@ func (c Config) Validate() error {
 		if f.Node < 0 || f.Node >= n {
 			return fmt.Errorf("engine: failure of node %d outside cluster of %d", f.Node, n)
 		}
-		if f.At < 0 {
-			return fmt.Errorf("engine: failure at negative time")
+		if !(f.At >= 0) || math.IsInf(f.At, 1) {
+			return fmt.Errorf("engine: failure at negative or non-finite time %v", f.At)
 		}
 		if failed[f.Node] {
 			return fmt.Errorf("engine: duplicate failure of node %d", f.Node)

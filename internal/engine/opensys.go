@@ -80,8 +80,8 @@ func (o OpenSystem) Validate() error {
 	if o.MaxActive < 0 {
 		return fmt.Errorf("engine: negative MaxActive %d", o.MaxActive)
 	}
-	if o.Warmup < 0 {
-		return fmt.Errorf("engine: negative warmup %v", o.Warmup)
+	if !(o.Warmup >= 0) || math.IsInf(o.Warmup, 1) {
+		return fmt.Errorf("engine: negative or non-finite warmup %v", o.Warmup)
 	}
 	if o.Preempt && o.MaxActive == 0 {
 		return fmt.Errorf("engine: preemption requires MaxActive > 0")
@@ -95,16 +95,16 @@ func (o OpenSystem) Validate() error {
 			return fmt.Errorf("engine: duplicate tenant %q", t.Name)
 		}
 		seen[t.Name] = true
-		if t.Weight < 0 {
-			return fmt.Errorf("engine: tenant %s: negative weight %v", t.Name, t.Weight)
+		if !(t.Weight >= 0) || math.IsInf(t.Weight, 1) {
+			return fmt.Errorf("engine: tenant %s: negative or non-finite weight %v", t.Name, t.Weight)
 		}
 		if t.QueueCap < 0 {
 			return fmt.Errorf("engine: tenant %s: negative queue cap %d", t.Name, t.QueueCap)
 		}
 	}
 	for i, a := range o.Arrivals {
-		if a.At < 0 {
-			return fmt.Errorf("engine: arrival %d at negative time %v", i, a.At)
+		if !(a.At >= 0) || math.IsInf(float64(a.At), 1) {
+			return fmt.Errorf("engine: arrival %d at negative or non-finite time %v", i, a.At)
 		}
 		if i > 0 && a.At < o.Arrivals[i-1].At {
 			return fmt.Errorf("engine: arrivals not sorted at %d", i)

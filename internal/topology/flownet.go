@@ -128,6 +128,13 @@ type FlowNet struct {
 	cnt      []int
 	linksBuf []int
 
+	// pshare caches each link's prospective share (see prospectiveShare);
+	// pshare[l] is current while pshareEp[l] == epoch+1, so the zero stamp
+	// of a new link is always stale. It sits beside links rather than in
+	// link so the fill loop's working set is unchanged.
+	pshare   []float64
+	pshareEp []uint64
+
 	// stats
 	started   int64
 	completed int64
@@ -226,6 +233,8 @@ func (n *FlowNet) AddLink(capacity float64) LinkID {
 	n.links = append(n.links, link{capacity: capacity})
 	n.remCap = append(n.remCap, 0)
 	n.cnt = append(n.cnt, 0)
+	n.pshare = append(n.pshare, 0)
+	n.pshareEp = append(n.pshareEp, 0)
 	return LinkID(len(n.links) - 1)
 }
 
@@ -234,14 +243,15 @@ func (n *FlowNet) AddLink(capacity float64) LinkID {
 // Unlike AddLink, zero is allowed: flows crossing a zero-capacity link
 // stall at rate zero (their completion events are parked) until capacity
 // is restored, which models a severed link without detaching its flows.
-// Negative values clamp to zero; NaN and infinities panic (a non-finite
-// share never wins a bottleneck round, so its flows would silently stall);
-// setting the current capacity again is a no-op.
+// Negative values and -0 clamp to +0, so every share of a severed link is
+// +0; NaN and infinities panic (a non-finite share never wins a
+// bottleneck round, so its flows would silently stall); setting the
+// current capacity again is a no-op.
 func (n *FlowNet) SetLinkCapacity(l LinkID, capacity float64) {
 	if math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		panic(fmt.Sprintf("topology: link capacity %v must be finite", capacity))
 	}
-	if capacity < 0 {
+	if !(capacity > 0) {
 		capacity = 0
 	}
 	if n.links[l].capacity == capacity {
@@ -732,6 +742,29 @@ func (n *FlowNet) finish(f *Flow) {
 	n.maybeRecycle(f)
 }
 
+// prospectiveShare returns the share a new flow would get on link l alone,
+// effCapacity(l, n+1)/(n+1) for the link's current n flows. Every change
+// to a link's occupancy, capacity or alpha bumps the epoch, so the value
+// is cached per link and recomputed on the first read of a new epoch.
+func (n *FlowNet) prospectiveShare(l LinkID) float64 {
+	if n.pshareEp[l] == n.epoch+1 {
+		return n.pshare[l]
+	}
+	return n.refreshShare(l)
+}
+
+// refreshShare recomputes and caches link l's prospective share. It is
+// kept out of line so the cache hit in prospectiveShare inlines.
+//
+//go:noinline
+func (n *FlowNet) refreshShare(l LinkID) float64 {
+	flows := len(n.links[l].flows) + 1
+	s := n.effCapacity(int(l), flows) / float64(flows)
+	n.pshare[l] = s
+	n.pshareEp[l] = n.epoch + 1
+	return s
+}
+
 // ProspectiveRate estimates the max-min share a new flow on path would
 // receive: the minimum over path links of capacity/(flows+1). This is the
 // "path transmission rate" observation of Section II-B-3. It depends only
@@ -739,9 +772,7 @@ func (n *FlowNet) finish(f *Flow) {
 func (n *FlowNet) ProspectiveRate(path []LinkID) float64 {
 	rate := math.Inf(1)
 	for _, l := range path {
-		flows := len(n.links[l].flows) + 1
-		r := n.effCapacity(int(l), flows) / float64(flows)
-		if r < rate {
+		if r := n.prospectiveShare(l); r < rate {
 			rate = r
 		}
 	}

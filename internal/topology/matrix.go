@@ -79,6 +79,20 @@ func (m *Matrix) PathRate(a, b NodeID) float64 {
 	return m.bps
 }
 
+// MaxPathRates implements RateObserver pair by pair: Matrix rates are
+// flat, so there is nothing to collapse.
+func (m *Matrix) MaxPathRates(replicas []NodeID, out []float64) {
+	for k := range m.h {
+		best := 0.0
+		for _, l := range replicas {
+			if r := m.PathRate(NodeID(k), l); r > best {
+				best = r
+			}
+		}
+		out[k] = best
+	}
+}
+
 // Epoch implements the epoch-observer contract for rate caching: Matrix
 // path rates are flat constants, so the epoch never advances.
 func (m *Matrix) Epoch() uint64 { return 0 }

@@ -16,6 +16,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"mapsched/internal/sim"
 )
@@ -41,6 +42,11 @@ type Network interface {
 // h_ab with the inverse of this rate to make the cost bandwidth-aware.
 type RateObserver interface {
 	PathRate(a, b NodeID) float64
+	// MaxPathRates fills out[k] with max_{l ∈ replicas} PathRate(k, l)
+	// for every node k (len(out) is the network size), bit for bit; an
+	// empty replica set gives 0 everywhere. It is the nearest-replica
+	// rate of Formula 1 in network-condition mode, one row per block.
+	MaxPathRates(replicas []NodeID, out []float64)
 }
 
 // Transferer starts data movements in simulated time.
@@ -82,7 +88,28 @@ func DefaultSpec() Spec {
 	}
 }
 
+// Validate reports whether the spec is usable, without changing it.
+func (s Spec) Validate() error { return s.normalize() }
+
+// normalize fills in the default distances and rejects unusable values.
+// Every float field must be finite: a NaN passes any range comparison,
+// and an infinite bandwidth or distance has no meaning here.
 func (s *Spec) normalize() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"HostLinkBps", s.HostLinkBps},
+		{"TorUplinkBps", s.TorUplinkBps},
+		{"DiskBps", s.DiskBps},
+		{"SameRackDist", s.SameRackDist},
+		{"CrossRackDist", s.CrossRackDist},
+		{"CongestionAlpha", s.CongestionAlpha},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("topology: %s = %v, must be finite", f.name, f.v)
+		}
+	}
 	if s.Racks < 1 {
 		return fmt.Errorf("topology: Racks = %d, need >= 1", s.Racks)
 	}
@@ -134,6 +161,8 @@ type Cluster struct {
 	// one scratch array replaces a per-transfer allocation.
 	pathBuf [4]LinkID
 
+	rackDown []float64 // MaxPathRates' per-rack scratch
+
 	classes *Classes // memoized rack-level class view, built on first use
 }
 
@@ -163,6 +192,7 @@ func NewCluster(eng *sim.Engine, spec Spec) (*Cluster, error) {
 	}
 	c.torUp = make([]LinkID, spec.Racks)
 	c.torDown = make([]LinkID, spec.Racks)
+	c.rackDown = make([]float64, spec.Racks)
 	for r := 0; r < spec.Racks; r++ {
 		c.torUp[r] = c.net.AddLink(spec.TorUplinkBps)
 		c.torDown[r] = c.net.AddLink(spec.TorUplinkBps)
@@ -216,6 +246,66 @@ func (c *Cluster) PathRate(a, b NodeID) float64 {
 		return c.spec.DiskBps
 	}
 	return c.net.ProspectiveRate(c.path(a, b))
+}
+
+// MaxPathRates implements RateObserver from per-link and per-rack terms
+// instead of one PathRate per (node, replica) pair. With U_k, D_l, TU_r
+// and TD_r the prospective shares of hostUp[k], hostDown[l], torUp[r] and
+// torDown[r], a node k outside the replica set L in rack R gets
+//
+//	max_l PathRate(k, l) = min(U_k, max(S_R, min(TU_R, X)))
+//
+// where S_r = max_{l ∈ L∩r} D_l covers the same-rack paths and
+// X = max_r min(TD_r, S_r) the cross-rack ones: min distributes over max,
+// and both only ever select one of their operands, so the result is the
+// per-pair maximum bit for bit. X may include R's own term, since
+// min(TU_R, TD_R, S_R) never exceeds S_R. A replica node also reads from
+// its own disk, so it is evaluated pair by pair. Shares are never
+// negative or -0, which lets 0 stand for "no replica" in S_r.
+func (c *Cluster) MaxPathRates(replicas []NodeID, out []float64) {
+	out = out[:c.n]
+	down := c.rackDown
+	for r := range down {
+		down[r] = 0
+	}
+	for _, l := range replicas {
+		if d := c.net.prospectiveShare(c.hostDown[l]); d > down[c.Rack(l)] {
+			down[c.Rack(l)] = d
+		}
+	}
+	var cross float64
+	for r, s := range down {
+		if s > cross {
+			cross = max(cross, min(c.net.prospectiveShare(c.torDown[r]), s))
+		}
+	}
+	npr := c.spec.NodesPerRack
+	for r, h := range down {
+		if cross > h {
+			h = max(h, min(c.net.prospectiveShare(c.torUp[r]), cross))
+		}
+		row := out[r*npr : (r+1)*npr]
+		if h == 0 {
+			for k := range row {
+				row[k] = 0
+			}
+			continue
+		}
+		for k := range row {
+			row[k] = min(c.net.prospectiveShare(c.hostUp[r*npr+k]), h)
+		}
+	}
+	for _, k := range replicas {
+		best := c.spec.DiskBps
+		for _, l := range replicas {
+			if l != k {
+				if r := c.PathRate(k, l); r > best {
+					best = r
+				}
+			}
+		}
+		out[k] = best
+	}
 }
 
 // Transfer moves bytes from src to dst. Remote transfers become flows in

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"mapsched/internal/core"
 	"mapsched/internal/engine"
@@ -176,8 +177,9 @@ type options struct {
 type Option func(*options)
 
 // ErrInvalidOption is wrapped by every option-domain error New and
-// NewPlacementService return, so callers can match the whole class with
-// errors.Is.
+// NewPlacementService return, and by New's ClusterConfig validation
+// errors (an out-of-range or non-finite field), so callers can match the
+// whole class with errors.Is.
 var ErrInvalidOption = errors.New("invalid option")
 
 // buildOptions applies opts over the defaults and validates every value
@@ -188,7 +190,7 @@ func buildOptions(opts []Option) (options, error) {
 		apply(&o)
 	}
 	switch {
-	case o.pmin < 0 || o.pmin > 1:
+	case !(o.pmin >= 0 && o.pmin <= 1):
 		return o, fmt.Errorf("mapsched: %w: Pmin %v outside [0,1]", ErrInvalidOption, o.pmin)
 	case o.scale < 1:
 		return o, fmt.Errorf("mapsched: %w: scale %d must be >= 1", ErrInvalidOption, o.scale)
@@ -198,8 +200,8 @@ func buildOptions(opts []Option) (options, error) {
 		return o, fmt.Errorf("mapsched: %w: negative cross traffic %d", ErrInvalidOption, o.crossTraffic)
 	case o.storageSubsetSet && o.storageSubset < 0:
 		return o, fmt.Errorf("mapsched: %w: negative storage subset %d", ErrInvalidOption, o.storageSubset)
-	case o.hbExpirySet && o.hbExpiry < 0:
-		return o, fmt.Errorf("mapsched: %w: negative heartbeat expiry %v", ErrInvalidOption, o.hbExpiry)
+	case o.hbExpirySet && (!(o.hbExpiry >= 0) || math.IsInf(o.hbExpiry, 1)):
+		return o, fmt.Errorf("mapsched: %w: negative or non-finite heartbeat expiry %v", ErrInvalidOption, o.hbExpiry)
 	case o.journalSet && o.journal == nil:
 		return o, fmt.Errorf("mapsched: %w: nil journal writer", ErrInvalidOption)
 	case o.tenantsSet && !o.arrivalsSet:
@@ -285,7 +287,8 @@ func WithFaultPlan(p FaultPlan) Option {
 
 // WithHeartbeatExpiry sets how long after a node stops heartbeating the
 // JobTracker declares it dead and starts recovery (default: 10 × the
-// heartbeat interval).
+// heartbeat interval). It must be finite: +Inf is rejected, not read as
+// "never detect".
 func WithHeartbeatExpiry(seconds float64) Option {
 	return func(o *options) { o.hbExpiry = seconds; o.hbExpirySet = true }
 }
@@ -417,6 +420,9 @@ func New(cfg ClusterConfig, defs []JobDef, kind SchedulerKind, opts ...Option) (
 			open.Arrivals[i] = engine.Arrival{At: sim.Time(a.At), Tenant: a.Tenant, Spec: a.Spec}
 		}
 		cfg.Open = open
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("mapsched: %w: %w", ErrInvalidOption, err)
 	}
 	var builder sched.Builder
 	switch kind {

@@ -88,6 +88,14 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.Topology.Validate(); err != nil {
+		return nil, fmt.Errorf("mapsched: %w: %w", ErrInvalidOption, err)
+	}
+	if !(cfg.Slowstart >= 0 && cfg.Slowstart <= 1) {
+		// A NaN slowstart would pass a plain range check and then hold
+		// back every reduce forever.
+		return nil, fmt.Errorf("mapsched: %w: slowstart %v outside [0,1]", ErrInvalidOption, cfg.Slowstart)
+	}
 	topo, err := topology.NewCluster(sim.NewEngine(), cfg.Topology)
 	if err != nil {
 		return nil, err

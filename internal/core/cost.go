@@ -144,25 +144,13 @@ func (c *CostModel) DistanceEpoch() (uint64, bool) {
 
 // MapCost returns C_m(i,j) = B_j · min_{l: L_lj=1} h_il (Formula 1): the
 // cost of running map task m on node i, reading from the nearest replica.
-// In network-condition mode the minimum is taken as the fastest path
-// rate, then inverted, exactly as the MapCoster's rows do.
 func (c *CostModel) MapCost(m *job.MapTask, i topology.NodeID) float64 {
 	best := math.Inf(1)
-	if c.mode == ModeNetworkCondition {
-		var rate float64
-		for _, l := range c.store.Replicas(m.Block) {
-			if r := c.rate.PathRate(i, l); r > rate {
-				rate = r
-			}
-		}
-		best = rateDist(rate)
-	} else {
-		for _, l := range c.store.Replicas(m.Block) {
-			if d := c.Distance(i, l); d < best {
-				best = d
-				if best == 0 {
-					break
-				}
+	for _, l := range c.store.Replicas(m.Block) {
+		if d := c.Distance(i, l); d < best {
+			best = d
+			if best == 0 {
+				break
 			}
 		}
 	}

@@ -216,22 +216,6 @@ func (h hideEpoch) MaxPathRates(replicas []topology.NodeID, out []float64) {
 	h.r.MaxPathRates(replicas, out)
 }
 
-// perPairMapCost is Formula 1 evaluated pair by pair: the minimum of
-// Distance(i, l) over the block's replicas, independent of how MapCost
-// and the MapCoster collapse the minimum.
-func perPairMapCost(cm *CostModel, m *job.MapTask, i topology.NodeID) float64 {
-	best := math.Inf(1)
-	for _, l := range cm.store.Replicas(m.Block) {
-		if d := cm.Distance(i, l); d < best {
-			best = d
-		}
-	}
-	if math.IsInf(best, 1) {
-		return best
-	}
-	return m.Size * best
-}
-
 // TestMapCosterMatchesNaive checks the cached Formula 1 path against the
 // direct computation, bit for bit, across distance modes, epoch churn and
 // changing avail sets — including the no-epoch-signal fallback. The
@@ -281,9 +265,6 @@ func TestMapCosterMatchesNaive(t *testing.T) {
 					for n := topology.NodeID(0); int(n) < cl.Size(); n++ {
 						if got, want := mc.Cost(m, n), cm.MapCost(m, n); got != want {
 							t.Fatalf("round %d: Cost(m%d,%d) = %v, naive %v", round, m.Index, n, got, want)
-						}
-						if got, want := cm.MapCost(m, n), perPairMapCost(cm, m, n); got != want {
-							t.Fatalf("round %d: MapCost(m%d,%d) = %v, per pair %v", round, m.Index, n, got, want)
 						}
 					}
 					if got, want := mc.CostAvg(m, NewAvail(avail)), cm.MapCostAvg(m, avail); got != want {

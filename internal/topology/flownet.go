@@ -128,13 +128,6 @@ type FlowNet struct {
 	cnt      []int
 	linksBuf []int
 
-	// pshare caches each link's prospective share (see prospectiveShare);
-	// pshare[l] is current while pshareEp[l] == epoch+1, so the zero stamp
-	// of a new link is always stale. It sits beside links rather than in
-	// link so the fill loop's working set is unchanged.
-	pshare   []float64
-	pshareEp []uint64
-
 	// stats
 	started   int64
 	completed int64
@@ -233,8 +226,6 @@ func (n *FlowNet) AddLink(capacity float64) LinkID {
 	n.links = append(n.links, link{capacity: capacity})
 	n.remCap = append(n.remCap, 0)
 	n.cnt = append(n.cnt, 0)
-	n.pshare = append(n.pshare, 0)
-	n.pshareEp = append(n.pshareEp, 0)
 	return LinkID(len(n.links) - 1)
 }
 
@@ -743,26 +734,12 @@ func (n *FlowNet) finish(f *Flow) {
 }
 
 // prospectiveShare returns the share a new flow would get on link l alone,
-// effCapacity(l, n+1)/(n+1) for the link's current n flows. Every change
-// to a link's occupancy, capacity or alpha bumps the epoch, so the value
-// is cached per link and recomputed on the first read of a new epoch.
+// effCapacity(l, n+1)/(n+1) for the link's current n flows. ProspectiveRate
+// and Cluster.MaxPathRates both read link shares through it, so the two
+// agree bit for bit.
 func (n *FlowNet) prospectiveShare(l LinkID) float64 {
-	if n.pshareEp[l] == n.epoch+1 {
-		return n.pshare[l]
-	}
-	return n.refreshShare(l)
-}
-
-// refreshShare recomputes and caches link l's prospective share. It is
-// kept out of line so the cache hit in prospectiveShare inlines.
-//
-//go:noinline
-func (n *FlowNet) refreshShare(l LinkID) float64 {
 	flows := len(n.links[l].flows) + 1
-	s := n.effCapacity(int(l), flows) / float64(flows)
-	n.pshare[l] = s
-	n.pshareEp[l] = n.epoch + 1
-	return s
+	return n.effCapacity(int(l), flows) / float64(flows)
 }
 
 // ProspectiveRate estimates the max-min share a new flow on path would

@@ -88,9 +88,6 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Topology.Validate(); err != nil {
-		return nil, fmt.Errorf("mapsched: %w: %w", ErrInvalidOption, err)
-	}
 	if !(cfg.Slowstart >= 0 && cfg.Slowstart <= 1) {
 		// A NaN slowstart would pass a plain range check and then hold
 		// back every reduce forever.
@@ -98,7 +95,7 @@ func buildPlacementParts(cfg ClusterConfig, defs []JobDef, o options) (*placemen
 	}
 	topo, err := topology.NewCluster(sim.NewEngine(), cfg.Topology)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mapsched: %w: %w", ErrInvalidOption, err)
 	}
 	root := sim.NewRNG(o.seed)
 	store := hdfs.NewStore(topo, root.Fork("hdfs"))
